@@ -1,9 +1,10 @@
 """Exact integer factorization and the arithmetic functions built on it.
 
-Everything here is exact integer arithmetic; floats only appear in the
-entropy layer.  Factorization is trial division over primes below 10^4
-followed by Brent's variant of Pollard rho, with a deterministic
-Miller-Rabin primality test.
+Everything here is exact integer arithmetic, except the sum of a log a
+that exponent_stats carries for the range sweeps.  Factorization is trial
+division over primes below 10^4 followed by Brent's variant of Pollard rho,
+with a deterministic Miller-Rabin primality test.  exponent_stats sieves
+the exponents of a whole block of consecutive integers with numpy.
 """
 
 from __future__ import annotations
@@ -24,6 +25,13 @@ ENUM_CAP_ENV = "ENTROPIA_MAX_DIVISORS"
 
 _TRIAL_LIMIT = 10**4
 
+# Largest table spf_sieve and primes_up_to will allocate: the int64 SPF
+# table at this size takes 80 MB.
+MAX_SIEVE_LIMIT = 10**7
+
+# a log a for every exponent a of an int64 (a <= 63); 0 stands for no prime.
+_ALOG = np.array([0.0] + [k * math.log(k) for k in range(1, 64)])
+
 # Witness set sufficient for a deterministic Miller-Rabin test far beyond 64 bits.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -42,10 +50,16 @@ def enumeration_cap() -> int:
     return cap
 
 
+def _require_sieve_limit(limit: int) -> None:
+    if limit > MAX_SIEVE_LIMIT:
+        raise RangeError(f"sieve limit {limit} is above the cap {MAX_SIEVE_LIMIT}")
+
+
 def primes_up_to(limit: int) -> list[int]:
     """All primes <= limit, ascending."""
     if limit < 2:
         return []
+    _require_sieve_limit(limit)
     flags = np.ones(limit + 1, dtype=bool)
     flags[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
@@ -141,6 +155,14 @@ class Factorization:
                 f"entries multiply to {prod}, not the stated value {self.value}"
             )
 
+    @classmethod
+    def _trusted(cls, entries: tuple[tuple[int, int], ...], value: int) -> Factorization:
+        """Build without __post_init__, for entries correct by construction
+        from an already validated factorization."""
+        f = object.__new__(cls)
+        f.__dict__.update(entries=entries, value=value)
+        return f
+
     @property
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.entries)
@@ -217,8 +239,8 @@ def divisors(f: Factorization) -> list[int]:
     return out
 
 
-def small_divisors(k: int) -> list[int]:
-    """Divisors of a small positive integer (used on exponents), ascending."""
+@lru_cache(maxsize=1 << 10)
+def _exponent_divisors(k: int) -> tuple[int, ...]:
     if k < 1:
         raise DomainError(f"need a positive integer, got {k}")
     lo, hi = [], []
@@ -227,36 +249,43 @@ def small_divisors(k: int) -> list[int]:
             lo.append(d)
             if d != k // d:
                 hi.append(k // d)
-    return lo + hi[::-1]
+    return tuple(lo + hi[::-1])
+
+
+def small_divisors(k: int) -> list[int]:
+    """Divisors of a small positive integer (used on exponents), ascending."""
+    return list(_exponent_divisors(k))
 
 
 def tau_e(f: Factorization) -> int:
     """Number of exponential divisors; 1 for n = 1 by convention."""
     out = 1
     for _, a in f.entries:
-        out *= len(small_divisors(a))
+        out *= len(_exponent_divisors(a))
     return out
 
 
 def exponential_divisors(f: Factorization) -> list[Factorization]:
     """All e-divisors of n > 1 (same prime support, each beta_i | alpha_i).
 
-    Ascending by value; the count always equals tau_e(f).
+    Ascending by value; the count always equals tau_e(f).  Each e-divisor
+    inherits its primes from f, so it is built without re-validation.
     """
     if f.value == 1:
         raise DomainError("exponential divisors are defined only for n > 1")
-    count = tau_e(f)
+    choices = [_exponent_divisors(a) for _, a in f.entries]
+    count = math.prod(map(len, choices))
     cap = enumeration_cap()
     if count > cap:
         raise RangeError(f"{f.value} has {count} e-divisors, above the cap {cap}")
-    choices = [small_divisors(a) for a in f.exponents]
-    primes = f.primes
-    out = []
-    for betas in _cartesian(*choices):
-        val = 1
-        for p, b in zip(primes, betas):
-            val *= p**b
-        out.append(Factorization(tuple(zip(primes, betas)), val))
+    if count == 1:  # squarefree: n is its only e-divisor
+        return [f]
+    entries = [[(p, b) for b in bs] for (p, _), bs in zip(f.entries, choices)]
+    powers = [[p**b for b in bs] for (p, _), bs in zip(f.entries, choices)]
+    out = [
+        Factorization._trusted(e, math.prod(q))
+        for e, q in zip(_cartesian(*entries), _cartesian(*powers))
+    ]
     out.sort(key=lambda g: g.value)
     return out
 
@@ -265,6 +294,7 @@ def spf_sieve(limit: int) -> np.ndarray:
     """Smallest-prime-factor table up to limit; spf[p] == p for primes."""
     if limit < 1:
         raise DomainError("sieve limit must be >= 1")
+    _require_sieve_limit(limit)
     spf = np.zeros(limit + 1, dtype=np.int64)
     spf[1] = 1
     for p in range(2, math.isqrt(limit) + 1):
@@ -274,6 +304,86 @@ def spf_sieve(limit: int) -> np.ndarray:
     rest = spf == 0
     spf[rest] = np.nonzero(rest)[0]
     return spf
+
+
+@dataclass(frozen=True)
+class ExponentStats:
+    """Exponent statistics of every n in [lo, hi), one array entry per n.
+
+    exponents[k] holds the exponent of the (k+1)-th smallest prime factor
+    of each n, or 0 where n has fewer prime factors.
+    """
+
+    lo: int
+    exponents: np.ndarray  # (width, hi - lo) int8
+    big_omega: np.ndarray
+    small_omega: np.ndarray
+    alog_sum: np.ndarray  # sum of a log a, added in ascending prime order
+    min_exp: np.ndarray  # 0 for n = 1
+    max_exp: np.ndarray
+    squares: np.ndarray  # number of primes with exponent exactly 2
+
+    @property
+    def n(self) -> np.ndarray:
+        return np.arange(self.lo, self.lo + len(self.big_omega), dtype=np.int64)
+
+
+def exponent_stats(lo: int, hi: int) -> ExponentStats:
+    """Sieve the exponents of every n in [lo, hi) over the primes <= sqrt(hi - 1).
+
+    Each such prime p, in ascending order, visits its multiples, and the
+    multiples of each higher power of p raise their exponent by one.  Where
+    the prime powers found do not multiply to n, the rest is a single prime
+    above the square root, with exponent 1.
+    """
+    if not 1 <= lo <= hi:
+        raise DomainError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
+    _require_sieve_limit(hi - lo)
+    size = hi - lo
+    top = hi - 1
+    # omega(n) <= width for n <= top: the first width + 1 primes multiply past top.
+    width, primorial = 1, 2
+    for p in _SMALL_PRIMES[1:]:
+        primorial *= p
+        if primorial > top:
+            break
+        width += 1
+    exps = np.zeros((width, size), dtype=np.int8)
+    slots = exps.reshape(-1)
+    omega = np.zeros(size, dtype=np.int8)
+    found = np.ones(size, dtype=np.int64)
+    for p in primes_up_to(math.isqrt(top)):
+        first = -lo % p
+        if first >= size:
+            continue
+        at = slice(first, size, p)
+        a = np.ones(len(range(first, size, p)), dtype=np.int8)
+        q = p * p
+        while q <= top and -lo % q < size:
+            a[(-lo % q - first) // p :: q // p] += 1
+            q *= p
+        slots[np.arange(first, size, p) + omega[at] * np.intp(size)] = a
+        omega[at] += 1
+        found[at] *= p ** a.astype(np.int64)
+    large = np.nonzero(found != np.arange(lo, hi, dtype=np.int64))[0]
+    slots[large + omega[large] * np.intp(size)] = 1
+    omega[large] += 1
+    alog = np.zeros(size)
+    for row in exps:
+        alog += _ALOG[row]
+    # Less one, as uint8, an absent prime's 0 becomes 255 and never wins the
+    # minimum; for n = 1 it wraps back to 0.
+    min_exp = ((exps.view(np.uint8) - np.uint8(1)).min(axis=0) + np.uint8(1)).view(np.int8)
+    return ExponentStats(
+        lo=lo,
+        exponents=exps,
+        big_omega=exps.sum(axis=0, dtype=np.int8),
+        small_omega=omega,
+        alog_sum=alog,
+        min_exp=min_exp,
+        max_exp=exps.max(axis=0),
+        squares=(exps == 2).sum(axis=0, dtype=np.int8),
+    )
 
 
 def factored_range(

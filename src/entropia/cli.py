@@ -64,11 +64,16 @@ def _fmt_scalar(v) -> str:
     return str(v)
 
 
-def _emit(args, command: str, inputs: dict, result, status: str) -> None:
+def _inputs(args) -> dict:
+    """The command's own arguments, as the JSON envelope echoes them."""
+    return {k: v for k, v in vars(args).items() if k not in ("json", "command", "func")}
+
+
+def _emit(args, result, status: str) -> None:
     if args.json:
         envelope = {
-            "command": command,
-            "inputs": inputs,
+            "command": args.command,
+            "inputs": _inputs(args),
             "result": result,
             "status": status,
         }
@@ -95,20 +100,14 @@ def _cmd_entropy(args) -> int:
         "tauE": rep.tau_e,
         "threshold": rep.threshold,
     }
-    _emit(args, "entropy", {"n": n}, result, "ok")
+    _emit(args, result, "ok")
     return EXIT_OK
 
 
 def _cmd_edivisors(args) -> int:
     f = arith.factorize(args.n)
     values = [d.value for d in arith.exponential_divisors(f)]
-    _emit(
-        args,
-        "edivisors",
-        {"n": args.n},
-        {"n": args.n, "count": len(values), "edivisors": values},
-        "ok",
-    )
+    _emit(args, {"n": args.n, "count": len(values), "edivisors": values}, "ok")
     return EXIT_OK
 
 
@@ -126,7 +125,7 @@ def _gap_result(rep: laws.GapReport) -> dict:
 
 def _cmd_compare(args) -> int:
     rep = laws.product_entropy_gap(args.m, args.n)
-    _emit(args, "compare", {"m": args.m, "n": args.n}, _gap_result(rep), "ok")
+    _emit(args, _gap_result(rep), "ok")
     return EXIT_OK
 
 
@@ -143,7 +142,7 @@ def _cmd_ideal(args) -> int:
         "tau": numfield.ideal_tau(sp),
         "tauE": numfield.ideal_tau_e(sp),
     }
-    _emit(args, "ideal", {"field": args.field, "p": args.p}, result, "ok")
+    _emit(args, result, "ok")
     return EXIT_OK
 
 
@@ -225,11 +224,11 @@ def _cmd_verify(args) -> int:
             f"unknown suite {args.suite!r}; choose from {sorted(registry)}"
         )
     runner, default_max = registry[args.suite]
-    max_value = args.max if args.max is not None else default_max
-    result, violation_count = runner(max_value, args.seed)
+    if args.max is None:
+        args.max = default_max
+    result, violation_count = runner(args.max, args.seed)
     status = "ok" if violation_count == 0 else "violation"
-    inputs = {"suite": args.suite, "max": max_value, "seed": args.seed}
-    _emit(args, "verify", inputs, result, status)
+    _emit(args, result, status)
     return EXIT_OK if violation_count == 0 else EXIT_VIOLATION
 
 
@@ -277,35 +276,17 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (DomainError, RangeError, UnsupportedCaseError) as exc:
-        if args.json:
-            print(
-                canonical_json(
-                    {
-                        "command": args.command,
-                        "inputs": {},
-                        "result": {"error": str(exc)},
-                        "status": "error",
-                    }
-                )
-            )
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(args, exc, "error", EXIT_USAGE)
     except VerificationError as exc:
-        if args.json:
-            print(
-                canonical_json(
-                    {
-                        "command": args.command,
-                        "inputs": {},
-                        "result": {"error": str(exc)},
-                        "status": "violation",
-                    }
-                )
-            )
-        else:
-            print(f"violation: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
+        return _fail(args, exc, "violation", EXIT_VIOLATION)
+
+
+def _fail(args, exc: Exception, status: str, code: int) -> int:
+    if args.json:
+        _emit(args, {"error": str(exc)}, status)
+    else:
+        print(f"{status}: {exc}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -18,6 +18,24 @@ from .errors import DomainError
 _SUM_TOL = 1e-12
 
 
+def entropy_of_exponents(exps) -> float:
+    """entropy_H of any n whose exponents, in ascending prime order, are exps.
+
+    The terms are added in the order given, as entropy_H adds them, so both
+    give the same float.  entropy_H keeps its own loop because it runs once
+    per query, and building an exponent tuple per call adds about a quarter
+    to its time.
+    """
+    omega_big = sum(exps)
+    if omega_big <= 1:
+        return 0.0
+    acc = 0.0
+    for a in exps:
+        if a > 1:
+            acc += (a / omega_big) * math.log(a)
+    return math.log(omega_big) - acc
+
+
 def entropy_H(f: Factorization) -> float:
     """Exponent entropy: log Omega(n) - (1/Omega) * sum alpha_i log alpha_i.
 

@@ -27,6 +27,15 @@ MAX_VIOLATIONS_KEPT = 20
 
 DEFAULT_SCAN_LIMIT = 10**4
 
+# Values per exponent_stats call in a range sweep.
+SWEEP_CHUNK = 1 << 16
+
+# Pairs per block of the coprime-pair scan.
+SCAN_BLOCK = 1 << 18
+
+# log k for every Omega(n) and omega(n) of an int64 (k <= 63).
+_LOGS = np.array([0.0] + [math.log(k) for k in range(1, 64)])
+
 
 class Relation(str, Enum):
     LESS = "LESS"
@@ -40,6 +49,11 @@ def _relation(gap: float) -> Relation:
     return Relation.GREATER if gap > 0 else Relation.LESS
 
 
+def _require_bound(suite: str, bound: int) -> None:
+    if bound < 2:
+        raise DomainError(f"{suite} needs a range bound >= 2, got {bound}")
+
+
 @dataclass(frozen=True)
 class GapReport:
     """H(mn) - H(m) - H(n) with its classification and the three entropies."""
@@ -51,17 +65,6 @@ class GapReport:
     h_mn: float
     gap: float
     relation: Relation
-
-
-def _entropy_of_exponents(exps: list[int]) -> float:
-    omega_big = sum(exps)
-    if omega_big <= 1:
-        return 0.0
-    acc = 0.0
-    for a in exps:
-        if a > 1:
-            acc += (a / omega_big) * math.log(a)
-    return math.log(omega_big) - acc
 
 
 def _gap_direct(m: int, n: int) -> GapReport:
@@ -298,14 +301,6 @@ class ScanSummary:
     violations: list[str] = field(default_factory=list)
 
 
-def _shape_k(exps: tuple[int, ...]) -> int | None:
-    """k if the exponent multiset is {k, 1} over exactly two primes, else None."""
-    if len(exps) != 2:
-        return None
-    hi, lo = max(exps), min(exps)
-    return hi if lo == 1 else None
-
-
 def scan_product_inequality(
     max_m: int, max_n: int, *, limit: int = DEFAULT_SCAN_LIMIT
 ) -> ScanSummary:
@@ -315,48 +310,70 @@ def scan_product_inequality(
     against that family's claimed relation; mismatches land in violations.
     The p^k q / p^k t family shares the prime p, so its pairs are never
     coprime and never appear here.
+
+    The gap depends only on the exponent sequences of m and n, so it is
+    computed once per pair of sequences and broadcast over the grid, one
+    block of rows at a time.  Witnesses are the first extreme pair in
+    row-major order.
     """
     if max_m > limit or max_n > limit:
         raise RangeError(f"scan bounds above the limit {limit}")
+    _require_bound("products", min(max_m, max_n))
     summary = ScanSummary(max_m, max_n)
-    top = max(max_m, max_n)
-    if top < 2:
-        return summary
-    facts: dict[int, list[tuple[int, int]]] = {}
-    for v, entries in arith.factored_range(top):
-        facts[v] = entries
-    h_cache = {v: _entropy_of_exponents([a for _, a in e]) for v, e in facts.items()}
-    for m in range(2, max_m + 1):
-        em = facts[m]
-        for n in range(2, max_n + 1):
-            if math.gcd(m, n) != 1:
+    st = arith.exponent_stats(2, max(max_m, max_n) + 1)
+    rows, seq = np.unique(st.exponents.T, axis=0, return_inverse=True)
+    seq = seq.reshape(-1)
+    exps = [tuple(int(a) for a in row if a) for row in rows]
+    h = [entropy.entropy_of_exponents(e) for e in exps]
+    gaps = np.array(
+        [
+            [entropy.entropy_of_exponents(ei + ej) - hi - hj for ej, hj in zip(exps, h)]
+            for ei, hi in zip(exps, h)
+        ]
+    )
+    # k of the two-prime-power shape {k, 1} over exactly two primes, else 0.
+    shape = np.where((st.small_omega == 2) & (st.min_exp == 1), st.max_exp, 0)
+    all_ge3 = st.min_exp >= 3
+    ns = np.arange(2, max_n + 1)
+    step = max(1, SCAN_BLOCK // len(ns))
+    for lo in range(2, max_m + 1, step):
+        ms = np.arange(lo, min(lo + step, max_m + 1))[:, None]
+        coprime = np.gcd(ms, ns) == 1
+        gap = gaps[seq[ms - 2], seq[ns - 2]]
+        near = np.abs(gap) <= EQUAL_TOL
+        equal = coprime & near
+        greater = coprime & ~near & (gap > 0)
+        less = coprime & ~equal & ~greater
+        summary.pairs += int(coprime.sum())
+        summary.counts["EQUAL"] += int(equal.sum())
+        summary.counts["GREATER"] += int(greater.sum())
+        summary.counts["LESS"] += int(less.sum())
+        for attr, sign, mask in (
+            ("witness_greater", 1.0, greater),
+            ("witness_less", -1.0, less),
+        ):
+            if not mask.any():
                 continue
-            en = facts[n]
-            summary.pairs += 1
-            exps = [a for _, a in em] + [a for _, a in en]
-            gap = _entropy_of_exponents(exps) - h_cache[m] - h_cache[n]
-            rel = _relation(gap)
-            summary.counts[rel.value] += 1
-            if rel is Relation.GREATER and (
-                summary.witness_greater is None or gap > summary.witness_greater[2]
-            ):
-                summary.witness_greater = (m, n, gap)
-            if rel is Relation.LESS and (
-                summary.witness_less is None or gap < summary.witness_less[2]
-            ):
-                summary.witness_less = (m, n, gap)
-            km = _shape_k(tuple(a for _, a in em))
-            kn = _shape_k(tuple(a for _, a in en))
-            if km is not None and km == kn:
-                expected = Relation.EQUAL if km == 1 else Relation.GREATER
-                if rel is not expected:
-                    summary.violations.append(
-                        f"two-prime-power shape ({m}, {n}), k={km}: "
-                        f"expected {expected.value}, got {rel.value}"
-                    )
-            if all(a >= 3 for a in exps) and rel is not Relation.GREATER:
+            i, j = np.unravel_index(np.argmax(np.where(mask, sign * gap, -np.inf)), gap.shape)
+            best = getattr(summary, attr)
+            if best is None or sign * gap[i, j] > sign * best[2]:
+                setattr(summary, attr, (int(ms[i, 0]), int(ns[j]), float(gap[i, j])))
+        km, kn = shape[ms - 2], shape[ns - 2]
+        wrong_shape = (km > 0) & (km == kn) & np.where(km == 1, ~equal, ~greater)
+        wrong_ge3 = all_ge3[ms - 2] & all_ge3[ns - 2] & ~greater
+        for i, j in zip(*np.nonzero(coprime & (wrong_shape | wrong_ge3))):
+            m, n = int(ms[i, 0]), int(ns[j])
+            rel = _relation(float(gap[i, j])).value
+            if wrong_shape[i, j]:
+                k = int(km[i, 0])
+                expected = Relation.EQUAL if k == 1 else Relation.GREATER
                 summary.violations.append(
-                    f"exponents>=3 shape ({m}, {n}): expected GREATER, got {rel.value}"
+                    f"two-prime-power shape ({m}, {n}), k={k}: "
+                    f"expected {expected.value}, got {rel}"
+                )
+            else:
+                summary.violations.append(
+                    f"exponents>=3 shape ({m}, {n}): expected GREATER, got {rel}"
                 )
     return summary
 
@@ -381,52 +398,89 @@ class CheckSummary:
         return self.violation_count == 0
 
 
+def _stat_chunks(limit: int):
+    """exponent_stats over [2, limit], SWEEP_CHUNK values at a time."""
+    for lo in range(2, limit + 1, SWEEP_CHUNK):
+        yield arith.exponent_stats(lo, min(lo + SWEEP_CHUNK, limit + 1))
+
+
 def sweep_entropy_bounds(limit: int) -> CheckSummary:
     """Check 0 <= H(n) <= log omega(n) for every n in [2, limit]."""
+    _require_bound("bounds", limit)
     summary = CheckSummary("bounds", 0)
-    table = arith.spf_sieve(limit).tolist()
-    # Omega(n) <= 63 for anything a sweep can reach; table lookups only.
-    logs = [0.0] + [math.log(k) for k in range(1, 64)]
-    alog = [0.0] + [k * math.log(k) for k in range(1, 64)]
-    for n in range(2, limit + 1):
-        m = n
-        omega_big = 0
-        omega_small = 0
-        s = 0.0
-        while m > 1:
-            p = table[m]
-            a = 0
-            while m % p == 0:
-                m //= p
-                a += 1
-            omega_big += a
-            omega_small += 1
-            s += alog[a]
-        h = logs[omega_big] - s / omega_big if omega_big > 1 else 0.0
-        summary.checked += 1
-        if not -EQUAL_TOL <= h <= logs[omega_small] + EQUAL_TOL:
-            summary.record(f"H({n}) = {h} outside [0, log {omega_small}]")
-    return summary
-
-
-def sweep_corollary_int(limit: int) -> CheckSummary:
-    """Run check_corollary_int over every conforming n <= limit."""
-    summary = CheckSummary("corollary-int", 0)
-    for n, entries in arith.factored_range(limit):
-        if len(entries) < 3 or any(a not in (1, 2) for _, a in entries):
-            continue
-        f = Factorization(tuple(entries), n)
-        rep = _corollary_int_on(f, strict=False)
-        summary.checked += 1
-        for value, h_d in rep.violations:
+    for st in _stat_chunks(limit):
+        big = st.big_omega
+        h = np.where(big > 1, _LOGS[big] - st.alog_sum / big, 0.0)
+        ok = (-EQUAL_TOL <= h) & (h <= _LOGS[st.small_omega] + EQUAL_TOL)
+        summary.checked += len(h)
+        for i in np.nonzero(~ok)[0]:
             summary.record(
-                f"n={n}: H({value}) = {h_d:.12g} > H(n) = {rep.h_subject:.12g}"
+                f"H({st.lo + i}) = {float(h[i])} outside [0, log {st.small_omega[i]}]"
             )
     return summary
 
 
+def _corollary_class_violations(s: int, t: int) -> int:
+    """Violating e-divisors of any n with s exponent-1 and t exponent-2 primes.
+
+    An e-divisor keeping j of the squares has exponents 1^(s+t-j) 2^j, and
+    C(t, j) e-divisors do.  The terms of H depend only on the exponent, so
+    these synthetic sequences give the same floats as the real ones.
+    """
+    h_n = entropy.entropy_of_exponents((1,) * s + (2,) * t)
+    return sum(
+        math.comb(t, j)
+        for j in range(t + 1)
+        if entropy.entropy_of_exponents((1,) * (s + t - j) + (2,) * j)
+        > h_n + EQUAL_TOL
+    )
+
+
+def sweep_corollary_int(limit: int) -> CheckSummary:
+    """Run check_corollary_int over every conforming n <= limit.
+
+    Violations are counted once per class (s, t) of conforming n and
+    multiplied by the class size.  E-divisors are enumerated, through
+    check_corollary_int's own route, only for the n whose witness lines are
+    kept; a count that disagrees with the class count raises
+    VerificationError.
+    """
+    _require_bound("corollary-int", limit)
+    checked = 0
+    total = 0
+    witnesses: list[str] = []
+    for st in _stat_chunks(limit):
+        conforming = (st.small_omega >= 3) & (st.max_exp <= 2)
+        t = st.squares[conforming]
+        s = st.small_omega[conforming] - t
+        classes = range(len(st.exponents) + 1)
+        table = np.array(
+            [[_corollary_class_violations(i, j) for j in classes] for i in classes]
+        )
+        counts = table[s, t]
+        checked += len(counts)
+        total += int(counts.sum())
+        for n, count in zip(st.n[conforming][counts > 0], counts[counts > 0]):
+            if len(witnesses) >= MAX_VIOLATIONS_KEPT:
+                break
+            rep = _corollary_int_on(arith.factorize(int(n)), strict=False)
+            if len(rep.violations) != count:
+                raise VerificationError(
+                    f"n={n}: {len(rep.violations)} violating e-divisors, "
+                    f"class count {count}"
+                )
+            for value, h_d in rep.violations:
+                witnesses.append(
+                    f"n={n}: H({value}) = {h_d:.12g} > H(n) = {rep.h_subject:.12g}"
+                )
+    return CheckSummary(
+        "corollary-int", checked, witnesses[:MAX_VIOLATIONS_KEPT], total
+    )
+
+
 def sweep_edivisor_counts(limit: int) -> CheckSummary:
     """Check |exponential_divisors(n)| == tau_e(n) for every n in [2, limit]."""
+    _require_bound("edivisors", limit)
     summary = CheckSummary("edivisors", 0)
     for n, entries in arith.factored_range(limit):
         f = Factorization(tuple(entries), n)
@@ -452,6 +506,7 @@ def sweep_splitting(max_p: int, fields=FIELD_MATRIX) -> CheckSummary:
     For every field: sum e_i f_i = degree.  For Galois fields additionally
     uniform (e, f) with e f g = degree and H(p O_K) = log g to 1e-12.
     """
+    _require_bound("splitting", max_p)
     summary = CheckSummary("splitting", 0)
     primes = arith.primes_up_to(max_p)
     for fld in fields:

@@ -15,11 +15,11 @@ degree) pairs; prime ideals are represented by position only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product as _cartesian
 
 from . import arith
+from .entropy import entropy_of_exponents
 from .errors import DomainError, RangeError, UnsupportedCaseError
 
 
@@ -227,14 +227,7 @@ def ideal_entropy(sp: SplittingPattern) -> float:
 
     Exactly 0.0 for g = 1 (inert and totally ramified ideals).
     """
-    if sp.g == 1:
-        return 0.0
-    total = sum(sp.ramification_indices)
-    acc = 0.0
-    for e in sp.ramification_indices:
-        if e > 1:
-            acc += (e / total) * math.log(e)
-    return math.log(total) - acc
+    return entropy_of_exponents(sp.ramification_indices)
 
 
 def ideal_tau(sp: SplittingPattern) -> int:

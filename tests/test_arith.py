@@ -192,3 +192,42 @@ def test_primes_up_to():
 def test_spf_and_factored_range_agree_with_factorize():
     for n, entries in arith.factored_range(500):
         assert tuple(entries) == factorize(n).entries
+
+
+def test_sieves_refuse_oversized_tables_before_allocating(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated a sieve table above the cap")
+
+    monkeypatch.setattr(arith.np, "zeros", refuse)
+    monkeypatch.setattr(arith.np, "ones", refuse)
+    for sieve in (arith.spf_sieve, arith.primes_up_to):
+        with pytest.raises(RangeError):
+            sieve(arith.MAX_SIEVE_LIMIT + 1)
+        with pytest.raises(RangeError):
+            sieve(10**10)
+    with pytest.raises(RangeError):
+        arith.exponent_stats(2, arith.MAX_SIEVE_LIMIT + 3)
+
+
+def test_exponent_stats_agree_with_factorize():
+    alog = [0.0] + [k * math.log(k) for k in range(1, 64)]
+    for lo, hi in ((1, 1), (1, 2), (1, 500), (2, 3), (10**6 - 300, 10**6 + 300),
+                   (2**40, 2**40 + 300), (10**12 - 300, 10**12 + 300)):
+        st = arith.exponent_stats(lo, hi)
+        assert st.n.tolist() == list(range(lo, hi))
+        for i, n in enumerate(range(lo, hi)):
+            exps = factorize(n).exponents
+            assert tuple(int(a) for a in st.exponents[:, i] if a) == exps
+            assert st.big_omega[i] == sum(exps)
+            assert st.small_omega[i] == len(exps)
+            assert st.min_exp[i] == min(exps, default=0)
+            assert st.max_exp[i] == max(exps, default=0)
+            assert st.squares[i] == exps.count(2)
+            s = 0.0
+            for a in exps:
+                s += alog[a]
+            assert st.alog_sum[i] == s  # same additions in the same order
+    with pytest.raises(DomainError):
+        arith.exponent_stats(0, 5)
+    with pytest.raises(DomainError):
+        arith.exponent_stats(5, 4)

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from entropia import cli
@@ -153,3 +154,27 @@ def test_verify_unknown_suite(capsys):
 def test_usage_errors(capsys):
     assert run(capsys, "frobnicate")[0] == 2
     assert run(capsys)[0] == 2
+
+
+@pytest.mark.parametrize("suite", ["bounds", "corollary-int", "edivisors", "products", "splitting"])
+@pytest.mark.parametrize("bound", ["0", "1"])
+def test_verify_empty_range_is_usage_error(capsys, suite, bound):
+    code, doc, _ = run_json(capsys, "verify", suite, "--max", bound)
+    assert code == 2 and doc["status"] == "error"
+    assert doc["inputs"] == {"suite": suite, "max": int(bound), "seed": 0}
+    assert "bound" in doc["result"]["error"]
+
+
+def test_verify_oversized_sieve_is_usage_error(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated a sieve table above the cap")
+
+    monkeypatch.setattr(np, "zeros", refuse)
+    code, doc, _ = run_json(capsys, "verify", "edivisors", "--max", str(10**10))
+    assert code == 2 and doc["status"] == "error"
+    assert doc["inputs"]["max"] == 10**10
+
+
+def test_error_envelope_keeps_inputs(capsys):
+    code, doc, _ = run_json(capsys, "compare", "6", "10")
+    assert code == 2 and doc["inputs"] == {"m": 6, "n": 10}
