@@ -3,25 +3,24 @@
 Everything here is exact integer arithmetic, except the sum of a log a
 that exponent_stats carries for the range sweeps.  Factorization is trial
 division over primes below 10^4 followed by Brent's variant of Pollard rho,
-with a deterministic Miller-Rabin primality test.  exponent_stats sieves
-the exponents of a whole block of consecutive integers with numpy.
+with a deterministic Miller-Rabin primality test.  tau, tau_e and the
+e-divisor exponent vectors take an exponent sequence, so the integers and
+the ideals pO_K share them.  exponent_stats sieves the exponents of a whole
+block of consecutive integers with numpy.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as _cartesian
-from typing import Iterator
+from operator import itemgetter
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import DomainError, RangeError
-
-DEFAULT_ENUM_CAP = 10**6
-ENUM_CAP_ENV = "ENTROPIA_MAX_DIVISORS"
 
 _TRIAL_LIMIT = 10**4
 
@@ -29,25 +28,14 @@ _TRIAL_LIMIT = 10**4
 # table at this size takes 80 MB.
 MAX_SIEVE_LIMIT = 10**7
 
+# Longest divisor or e-divisor list the enumerators will build.
+MAX_DIVISORS = 10**6
+
 # a log a for every exponent a of an int64 (a <= 63); 0 stands for no prime.
 _ALOG = np.array([0.0] + [k * math.log(k) for k in range(1, 64)])
 
 # Witness set sufficient for a deterministic Miller-Rabin test far beyond 64 bits.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def enumeration_cap() -> int:
-    """Cap on divisor / e-divisor list lengths, overridable via the environment."""
-    raw = os.environ.get(ENUM_CAP_ENV)
-    if raw is None:
-        return DEFAULT_ENUM_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise RangeError(f"{ENUM_CAP_ENV} must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise RangeError(f"{ENUM_CAP_ENV} must be positive, got {cap}")
-    return cap
 
 
 def _require_sieve_limit(limit: int) -> None:
@@ -131,6 +119,11 @@ def _pollard_brent(n: int) -> int:
     raise RuntimeError(f"pollard rho exhausted its parameter sweep on {n}")
 
 
+# Factorization.exponents is built twice per n by the e-divisor sweep;
+# mapping itemgetter is the cheapest way to build it.
+_second = itemgetter(1)
+
+
 @dataclass(frozen=True)
 class Factorization:
     """Canonical prime factorization: ((p1, a1), ...) ascending; empty for 1."""
@@ -169,7 +162,7 @@ class Factorization:
 
     @property
     def exponents(self) -> tuple[int, ...]:
-        return tuple(a for _, a in self.entries)
+        return tuple(map(_second, self.entries))
 
 
 def _factor_into(n: int, acc: dict[int, int]) -> None:
@@ -210,9 +203,10 @@ def small_omega(f: Factorization) -> int:
     return len(f.entries)
 
 
-def divisor_count(f: Factorization) -> int:
+def divisor_count(exponents: Sequence[int]) -> int:
+    """tau: the number of divisors, a product of (a_i + 1) over the exponents."""
     out = 1
-    for _, a in f.entries:
+    for a in exponents:
         out *= a + 1
     return out
 
@@ -225,12 +219,14 @@ def divisor_sum(f: Factorization) -> int:
     return out
 
 
+def _require_enumerable(subject, count: int, kind: str) -> None:
+    if count > MAX_DIVISORS:
+        raise RangeError(f"{subject} has {count} {kind}, above the cap {MAX_DIVISORS}")
+
+
 def divisors(f: Factorization) -> list[int]:
-    """All divisors, ascending.  Refuses lists longer than the enumeration cap."""
-    count = divisor_count(f)
-    cap = enumeration_cap()
-    if count > cap:
-        raise RangeError(f"{f.value} has {count} divisors, above the cap {cap}")
+    """All divisors, ascending.  Refuses lists longer than MAX_DIVISORS."""
+    _require_enumerable(f.value, divisor_count(f.exponents), "divisors")
     out = [1]
     for p, a in f.entries:
         powers = [p**k for k in range(a + 1)]
@@ -257,27 +253,47 @@ def small_divisors(k: int) -> list[int]:
     return list(_exponent_divisors(k))
 
 
-def tau_e(f: Factorization) -> int:
-    """Number of exponential divisors; 1 for n = 1 by convention."""
+def tau_e(exponents: Sequence[int]) -> int:
+    """Number of exponential divisors, a product of tau(a_i); 1 for no exponents."""
     out = 1
-    for _, a in f.entries:
+    for a in exponents:
         out *= len(_exponent_divisors(a))
     return out
+
+
+def _exponent_choices(
+    subject, exponents: Sequence[int]
+) -> tuple[list[tuple[int, ...]], int]:
+    """The divisors of each exponent, and the number of e-divisors they make.
+
+    Refuses more than MAX_DIVISORS e-divisors.
+    """
+    choices = [_exponent_divisors(a) for a in exponents]
+    count = math.prod(map(len, choices))
+    _require_enumerable(subject, count, "e-divisors")
+    return choices, count
+
+
+def exponential_divisor_vectors(exponents: Sequence[int]) -> list[tuple[int, ...]]:
+    """Every exponent vector (b_1, ..., b_k) with b_i | a_i, in product order.
+
+    The exponents are those of an integer or the ramification indices of an
+    ideal pO_K alike; there are always tau_e(exponents) vectors.
+    """
+    choices, _ = _exponent_choices(f"exponents {tuple(exponents)}", exponents)
+    return list(_cartesian(*choices))
 
 
 def exponential_divisors(f: Factorization) -> list[Factorization]:
     """All e-divisors of n > 1 (same prime support, each beta_i | alpha_i).
 
-    Ascending by value; the count always equals tau_e(f).  Each e-divisor
-    inherits its primes from f, so it is built without re-validation.
+    Ascending by value; the count always equals tau_e(f.exponents).  Each
+    e-divisor inherits its primes from f, so it is built without
+    re-validation.
     """
     if f.value == 1:
         raise DomainError("exponential divisors are defined only for n > 1")
-    choices = [_exponent_divisors(a) for _, a in f.entries]
-    count = math.prod(map(len, choices))
-    cap = enumeration_cap()
-    if count > cap:
-        raise RangeError(f"{f.value} has {count} e-divisors, above the cap {cap}")
+    choices, count = _exponent_choices(f.value, f.exponents)
     if count == 1:  # squarefree: n is its only e-divisor
         return [f]
     entries = [[(p, b) for b in bs] for (p, _), bs in zip(f.entries, choices)]

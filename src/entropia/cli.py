@@ -139,8 +139,8 @@ def _cmd_ideal(args) -> int:
         "factors": [[e, f] for e, f in sp.factors],
         "g": sp.g,
         "H": numfield.ideal_entropy(sp),
-        "tau": numfield.ideal_tau(sp),
-        "tauE": numfield.ideal_tau_e(sp),
+        "tau": arith.divisor_count(sp.ramification_indices),
+        "tauE": arith.tau_e(sp.ramification_indices),
     }
     _emit(args, result, "ok")
     return EXIT_OK
@@ -173,63 +173,31 @@ def _scan_result(summary: laws.ScanSummary) -> tuple[dict, int]:
     return result, len(summary.violations)
 
 
-# suite name -> (runner(max_value, seed) -> (result dict, violation count), default max)
-def _suite_registry():
-    return {
-        "bounds": (lambda m, s: _summary_result(laws.sweep_entropy_bounds(m)), 10**5),
-        "products": (
-            lambda m, s: _scan_result(laws.scan_product_inequality(m, m)),
-            200,
-        ),
-        "families": (
-            lambda m, s: _summary_result(laws.check_family_grids()),
-            None,
-        ),
-        "eq-identity": (
-            lambda m, s: _summary_result(laws.random_eq_identity(bound=m, seed=s)),
-            10**6,
-        ),
-        "prop41": (
-            lambda m, s: _summary_result(laws.random_prop41(seed=s)),
-            None,
-        ),
-        "corollary-int": (
-            lambda m, s: _summary_result(laws.sweep_corollary_int(m)),
-            10**4,
-        ),
-        "corollary-ideal": (
-            lambda m, s: _summary_result(laws.sweep_corollary_ideal()),
-            None,
-        ),
-        "splitting": (lambda m, s: _summary_result(laws.sweep_splitting(m)), 10**4),
-        "edivisors": (
-            lambda m, s: _summary_result(laws.sweep_edivisor_counts(m)),
-            10**4,
-        ),
-        "hbar": (
-            lambda m, s: _summary_result(laws.random_hbar_additivity(seed=s)),
-            None,
-        ),
-        "shannon": (
-            lambda m, s: _summary_result(laws.check_shannon_identity(m)),
-            100,
-        ),
-    }
+def _run_suite(args, name: str, bound: int | None) -> int:
+    """Run one suite at bound (None: its default) and emit its result."""
+    runner, default = laws.SUITES[name]
+    if default is None and bound is not None:
+        raise DomainError(f"suite {name!r} takes no bound; drop --max")
+    args.suite, args.max = name, default if bound is None else bound
+    summary = runner(args.max, args.seed)
+    if isinstance(summary, laws.ScanSummary):
+        result, violation_count = _scan_result(summary)
+    else:
+        result, violation_count = _summary_result(summary)
+    _emit(args, result, "ok" if violation_count == 0 else "violation")
+    return EXIT_OK if violation_count == 0 else EXIT_VIOLATION
 
 
 def _cmd_verify(args) -> int:
-    registry = _suite_registry()
-    if args.suite not in registry:
+    if args.suite == "all":
+        if args.max is not None:
+            raise DomainError("verify all uses each default bound; drop --max")
+        return max(_run_suite(args, name, None) for name in laws.SUITES)
+    if args.suite not in laws.SUITES:
         raise DomainError(
-            f"unknown suite {args.suite!r}; choose from {sorted(registry)}"
+            f"unknown suite {args.suite!r}; choose from {['all', *laws.SUITES]}"
         )
-    runner, default_max = registry[args.suite]
-    if args.max is None:
-        args.max = default_max
-    result, violation_count = runner(args.max, args.seed)
-    status = "ok" if violation_count == 0 else "violation"
-    _emit(args, result, status)
-    return EXIT_OK if violation_count == 0 else EXIT_VIOLATION
+    return _run_suite(args, args.suite, args.max)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -258,8 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("p", type=int)
     p.set_defaults(func=_cmd_ideal)
 
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite")
+    p = sub.add_parser("verify", help="run one verification suite, or all of them")
+    p.add_argument("suite", help="a suite name, or all")
     p.add_argument("--max", type=int, default=None, help="range bound for the suite")
     p.add_argument("--seed", type=int, default=0, help="RNG seed for random suites")
     p.set_defaults(func=_cmd_verify)

@@ -169,8 +169,8 @@ def entropy_report(n: int) -> EntropyReport:
         Hbar=entropy_Hbar(f),
         big_omega=arith.big_omega(f),
         small_omega=arith.small_omega(f),
-        tau=arith.divisor_count(f),
+        tau=arith.divisor_count(f.exponents),
         sigma=arith.divisor_sum(f),
-        tau_e=arith.tau_e(f),
+        tau_e=arith.tau_e(f.exponents),
         threshold=threshold(f),
     )

@@ -4,7 +4,8 @@ Each check_* function verifies one claimed inequality on concrete inputs and
 raises VerificationError when the claim fails numerically; the sweep_* and
 random_* functions run the same checks over ranges or seeded random draws
 and return tallies instead of raising.  A failed claim is a finding, not a
-bug: the scanners exist precisely to surface counterexamples.
+bug: the scanners exist precisely to surface counterexamples.  SUITES is
+the one registry of suites, which ``entropia verify`` runs.
 """
 
 from __future__ import annotations
@@ -49,9 +50,9 @@ def _relation(gap: float) -> Relation:
     return Relation.GREATER if gap > 0 else Relation.LESS
 
 
-def _require_bound(suite: str, bound: int) -> None:
-    if bound < 2:
-        raise DomainError(f"{suite} needs a range bound >= 2, got {bound}")
+def _require_bound(suite: str, bound: int, least: int = 2) -> None:
+    if bound < least:
+        raise DomainError(f"{suite} needs a range bound >= {least}, got {bound}")
 
 
 @dataclass(frozen=True)
@@ -275,7 +276,7 @@ def check_corollary_ideal(
     h_i = numfield.ideal_entropy(sp)
     violations = []
     checked = 0
-    for betas in numfield.ideal_exponential_divisors(sp):
+    for betas in arith.exponential_divisor_vectors(sp.ramification_indices):
         checked += 1
         h_d = numfield.ideal_entropy(numfield.pattern_for_vector(sp, betas))
         if h_d > h_i + EQUAL_TOL:
@@ -484,7 +485,7 @@ def sweep_edivisor_counts(limit: int) -> CheckSummary:
     summary = CheckSummary("edivisors", 0)
     for n, entries in arith.factored_range(limit):
         f = Factorization(tuple(entries), n)
-        expected = arith.tau_e(f)
+        expected = arith.tau_e(f.exponents)
         got = len(arith.exponential_divisors(f))
         summary.checked += 1
         if got != expected:
@@ -542,11 +543,13 @@ def generated_ideal_patterns(max_p: int = 200) -> list[numfield.SplittingPattern
 
 
 def sweep_ideal_edivisor_counts(max_p: int = 200) -> CheckSummary:
-    """|ideal_exponential_divisors| == ideal_tau_e over generated patterns."""
+    """|e-divisor vectors| == tau_e of the ramification indices over generated
+    patterns."""
     summary = CheckSummary("ideal-edivisors", 0)
     for sp in generated_ideal_patterns(max_p):
         summary.checked += 1
-        if len(numfield.ideal_exponential_divisors(sp)) != numfield.ideal_tau_e(sp):
+        es = sp.ramification_indices
+        if len(arith.exponential_divisor_vectors(es)) != arith.tau_e(es):
             summary.record(f"pattern {sp.factors}: count != tau_e")
     return summary
 
@@ -578,15 +581,17 @@ def _random_coprime_pair(rng: random.Random, bound: int) -> tuple[int, int]:
 def random_eq_identity(
     count: int = 10**4, bound: int = 10**6, seed: int = 0
 ) -> CheckSummary:
-    """Direct vs closed-form gap on random coprime pairs (1e-12 relative)."""
+    """product_entropy_gap's direct vs closed-form cross-check on random
+    coprime pairs."""
+    # Below 3 the only pair is (2, 2), which is never coprime.
+    _require_bound("eq-identity", bound, least=3)
     rng = random.Random(seed)
     summary = CheckSummary("eq-identity", count, extra={"bound": bound, "seed": seed})
     for _ in range(count):
-        m, n = _random_coprime_pair(rng, bound)
-        rep = _gap_direct(m, n)
-        formula = gap_formula(arith.factorize(m), arith.factorize(n))
-        if abs(rep.gap - formula) > EQUAL_TOL * max(1.0, abs(rep.gap)):
-            summary.record(f"({m}, {n}): direct {rep.gap}, formula {formula}")
+        try:
+            product_entropy_gap(*_random_coprime_pair(rng, bound))
+        except VerificationError as exc:
+            summary.record(str(exc))
     return summary
 
 
@@ -625,6 +630,7 @@ def check_hbar_closed_form(
 
 def check_hbar_limit_monotone(limit: int = 10**6) -> CheckSummary:
     """hbar_limit strictly decreasing over all primes <= limit."""
+    _require_bound("hbar-limit", limit)
     primes = np.array(arith.primes_up_to(limit), dtype=np.float64)
     values = primes * np.log(primes) / (primes - 1) - np.log(primes - 1)
     summary = CheckSummary("hbar-limit", len(primes), extra={"limit": limit})
@@ -637,6 +643,7 @@ def check_hbar_limit_monotone(limit: int = 10**6) -> CheckSummary:
 
 def check_shannon_identity(max_p: int = 100, tol: float = 1e-12) -> CheckSummary:
     """H_S(1/p, 1-1/p) == (1 - 1/p) * hbar_limit(p) for primes p <= max_p."""
+    _require_bound("shannon", max_p)
     summary = CheckSummary("shannon", 0)
     for p in arith.primes_up_to(max_p):
         hs = entropy.shannon_entropy(entropy.Distribution((1 / p, 1 - 1 / p)))
@@ -747,3 +754,25 @@ def check_family_grids(
     if equal_at != {1}:
         summary.record(f"EQUAL observed at k = {sorted(equal_at)}, expected only 1")
     return summary
+
+
+# Suite name -> (runner(bound, seed) -> summary, default bound, or None for a
+# suite that takes no bound).  Each name is the one its summary reports.
+SUITES = {
+    "bounds": (lambda bound, seed: sweep_entropy_bounds(bound), 10**5),
+    "products": (lambda bound, seed: scan_product_inequality(bound, bound), 200),
+    "families": (lambda bound, seed: check_family_grids(), None),
+    "eq-identity": (lambda bound, seed: random_eq_identity(bound=bound, seed=seed), 10**6),
+    "prop41": (lambda bound, seed: random_prop41(seed=seed), None),
+    "corollary-int": (lambda bound, seed: sweep_corollary_int(bound), 10**4),
+    "corollary-ideal": (lambda bound, seed: sweep_corollary_ideal(), None),
+    "splitting": (lambda bound, seed: sweep_splitting(bound), 10**4),
+    "edivisors": (lambda bound, seed: sweep_edivisor_counts(bound), 10**4),
+    "hbar-additivity": (lambda bound, seed: random_hbar_additivity(seed=seed), None),
+    "shannon": (lambda bound, seed: check_shannon_identity(bound), 100),
+    "hbar-closed-form": (lambda bound, seed: check_hbar_closed_form(), None),
+    "hbar-limit": (lambda bound, seed: check_hbar_limit_monotone(bound), 10**6),
+    "appended-identity": (lambda bound, seed: check_appended_identity(seed=seed), None),
+    "exponents-ge3": (lambda bound, seed: random_exponents_ge3_family(seed=seed), None),
+    "ideal-edivisors": (lambda bound, seed: sweep_ideal_edivisor_counts(), None),
+}

@@ -10,17 +10,17 @@ Supported families and their splitting rules:
   the cubic-residue character of m.
 
 A SplittingPattern is just the multiset of (ramification index, residue
-degree) pairs; prime ideals are represented by position only.
+degree) pairs; prime ideals are represented by position only.  Its tau,
+tau_e and e-divisors are arith's, taken on the ramification indices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as _cartesian
 
 from . import arith
 from .entropy import entropy_of_exponents
-from .errors import DomainError, RangeError, UnsupportedCaseError
+from .errors import DomainError, UnsupportedCaseError
 
 
 @dataclass(frozen=True)
@@ -228,32 +228,6 @@ def ideal_entropy(sp: SplittingPattern) -> float:
     Exactly 0.0 for g = 1 (inert and totally ramified ideals).
     """
     return entropy_of_exponents(sp.ramification_indices)
-
-
-def ideal_tau(sp: SplittingPattern) -> int:
-    """Number of ideal divisors: product of (e_i + 1)."""
-    out = 1
-    for e in sp.ramification_indices:
-        out *= e + 1
-    return out
-
-
-def ideal_tau_e(sp: SplittingPattern) -> int:
-    """Number of ideal e-divisors: product of tau(e_i)."""
-    out = 1
-    for e in sp.ramification_indices:
-        out *= len(arith.small_divisors(e))
-    return out
-
-
-def ideal_exponential_divisors(sp: SplittingPattern) -> list[tuple[int, ...]]:
-    """All exponent vectors (beta_1, ..., beta_g) with beta_i | e_i."""
-    count = ideal_tau_e(sp)
-    cap = arith.enumeration_cap()
-    if count > cap:
-        raise RangeError(f"pattern has {count} e-divisors, above the cap {cap}")
-    choices = [arith.small_divisors(e) for e in sp.ramification_indices]
-    return list(_cartesian(*choices))
 
 
 def pattern_for_vector(sp: SplittingPattern, betas: tuple[int, ...]) -> SplittingPattern:

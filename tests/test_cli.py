@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from entropia import cli
+from entropia import cli, laws
 from entropia.cli import canonical_json, main
 
 
@@ -78,7 +78,7 @@ def test_edivisors_golden(capsys):
 def test_edivisors_cap_exceeded(capsys, monkeypatch):
     from entropia import arith
 
-    monkeypatch.setenv(arith.ENUM_CAP_ENV, "1")
+    monkeypatch.setattr(arith, "MAX_DIVISORS", 1)
     code, doc, _ = run_json(capsys, "edivisors", "12")
     assert code == 2 and doc["status"] == "error"
 
@@ -156,13 +156,46 @@ def test_usage_errors(capsys):
     assert run(capsys)[0] == 2
 
 
-@pytest.mark.parametrize("suite", ["bounds", "corollary-int", "edivisors", "products", "splitting"])
+@pytest.mark.parametrize(
+    "suite",
+    ["bounds", "corollary-int", "edivisors", "products", "splitting",
+     "eq-identity", "shannon", "hbar-limit"],
+)
 @pytest.mark.parametrize("bound", ["0", "1"])
 def test_verify_empty_range_is_usage_error(capsys, suite, bound):
     code, doc, _ = run_json(capsys, "verify", suite, "--max", bound)
     assert code == 2 and doc["status"] == "error"
     assert doc["inputs"] == {"suite": suite, "max": int(bound), "seed": 0}
     assert "bound" in doc["result"]["error"]
+
+
+@pytest.mark.parametrize(
+    "suite", [name for name, (_, bound) in laws.SUITES.items() if bound is None] + ["all"]
+)
+def test_verify_rejects_max_where_no_bound_applies(capsys, suite):
+    code, doc, _ = run_json(capsys, "verify", suite, "--max", "5")
+    assert code == 2 and doc["status"] == "error"
+    assert doc["inputs"] == {"suite": suite, "max": 5, "seed": 0}
+
+
+def test_verify_all_runs_every_suite(capsys):
+    code, out, _ = run(capsys, "--json", "verify", "all")
+    assert code == 1
+    docs = [json.loads(line) for line in out.splitlines()]
+    names = [
+        "bounds", "products", "families", "eq-identity", "prop41", "corollary-int",
+        "corollary-ideal", "splitting", "edivisors", "hbar-additivity", "shannon",
+        "hbar-closed-form", "hbar-limit", "appended-identity", "exponents-ge3",
+        "ideal-edivisors",
+    ]
+    assert [doc["inputs"]["suite"] for doc in docs] == names
+    assert [doc["result"]["suite"] for doc in docs] == names
+    failing = [doc["result"] for doc in docs if doc["status"] == "violation"]
+    assert {r["suite"] for r in failing} == {
+        "exponents-ge3", "prop41", "corollary-int", "corollary-ideal"
+    }
+    assert all(r["violationCount"] > 0 for r in failing)
+    assert docs[names.index("shannon")] == run_json(capsys, "verify", "shannon")[1]
 
 
 def test_verify_oversized_sieve_is_usage_error(capsys, monkeypatch):

@@ -257,3 +257,10 @@ def test_random_suites_clean():
     assert laws.check_hbar_closed_form().ok
     assert laws.check_shannon_identity().ok
     assert laws.check_hbar_limit_monotone(10**5).ok
+
+
+def test_eq_identity_needs_a_coprime_pair_in_range():
+    # Below 3 the only draw is (2, 2); rejected instead of redrawing forever.
+    with pytest.raises(DomainError):
+        laws.random_eq_identity(count=1, bound=2)
+    assert laws.random_eq_identity(count=10, bound=3).checked == 10

@@ -10,9 +10,6 @@ from entropia.numfield import (
     Quadratic,
     SplittingPattern,
     ideal_entropy,
-    ideal_exponential_divisors,
-    ideal_tau,
-    ideal_tau_e,
     parse_field_spec,
     pattern_for_vector,
     split_prime,
@@ -157,26 +154,30 @@ def test_ideal_entropy_bounds():
         assert -1e-12 <= h <= math.log(sp.g) + 1e-12
 
 
+# tau, tau_e and the e-divisor vectors of an ideal are arith's, taken on
+# the ramification indices.
+
+
 def test_ideal_tau_goldens():
-    assert ideal_tau(SplittingPattern(((4, 1),))) == 5
-    assert ideal_tau(SplittingPattern(((1, 1),) * 3)) == 8
-    assert ideal_tau(SplittingPattern(((1, 5),))) == 2
+    assert arith.divisor_count(SplittingPattern(((4, 1),)).ramification_indices) == 5
+    assert arith.divisor_count(SplittingPattern(((1, 1),) * 3).ramification_indices) == 8
+    assert arith.divisor_count(SplittingPattern(((1, 5),)).ramification_indices) == 2
 
 
 def test_ideal_tau_e_goldens():
-    assert ideal_tau_e(SplittingPattern(((4, 1),))) == 3
-    assert ideal_tau_e(SplittingPattern(((1, 1),) * 4)) == 1
-    assert ideal_tau_e(SplittingPattern(((2, 1), (2, 1)))) == 4
+    assert arith.tau_e(SplittingPattern(((4, 1),)).ramification_indices) == 3
+    assert arith.tau_e(SplittingPattern(((1, 1),) * 4).ramification_indices) == 1
+    assert arith.tau_e(SplittingPattern(((2, 1), (2, 1))).ramification_indices) == 4
 
 
 def test_ideal_exponential_divisors():
     sp = SplittingPattern(((4, 1),))
-    assert ideal_exponential_divisors(sp) == [(1,), (2,), (4,)]
+    assert arith.exponential_divisor_vectors(sp.ramification_indices) == [(1,), (2,), (4,)]
     sp = SplittingPattern(((1, 1),) * 3)
-    assert ideal_exponential_divisors(sp) == [(1, 1, 1)]
+    assert arith.exponential_divisor_vectors(sp.ramification_indices) == [(1, 1, 1)]
     sp = SplittingPattern(((2, 1), (2, 1), (1, 1)))
-    vectors = ideal_exponential_divisors(sp)
-    assert len(vectors) == 4 == ideal_tau_e(sp)
+    vectors = arith.exponential_divisor_vectors(sp.ramification_indices)
+    assert len(vectors) == 4 == arith.tau_e(sp.ramification_indices)
     derived = pattern_for_vector(sp, (1, 2, 1))
     assert derived.factors == ((2, 1), (1, 1), (1, 1))
 
@@ -185,4 +186,5 @@ def test_ideal_edivisor_counts_on_generated_patterns():
     for field in (Quadratic(-1), CyclotomicPrime(7), PureCubic(3)):
         for p in arith.primes_up_to(200):
             sp = split_prime(field, p)
-            assert len(ideal_exponential_divisors(sp)) == ideal_tau_e(sp)
+            es = sp.ramification_indices
+            assert len(arith.exponential_divisor_vectors(es)) == arith.tau_e(es)

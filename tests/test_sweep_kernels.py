@@ -146,8 +146,8 @@ def loop_sweep_corollary_int(limit: int) -> CheckSummary:
 def loop_exponential_divisors(f: Factorization) -> list[Factorization]:
     if f.value == 1:
         raise DomainError("exponential divisors are defined only for n > 1")
-    count = arith.tau_e(f)
-    cap = arith.enumeration_cap()
+    count = arith.tau_e(f.exponents)
+    cap = arith.MAX_DIVISORS
     if count > cap:
         raise RangeError(f"{f.value} has {count} e-divisors, above the cap {cap}")
     choices = [arith.small_divisors(a) for a in f.exponents]
@@ -283,6 +283,6 @@ def test_small_divisors_memo_cannot_be_corrupted():
     first[0] = -1
     assert arith.small_divisors(12) == [1, 2, 3, 4, 6, 12]
     assert arith.small_divisors(12) is not arith.small_divisors(12)
-    assert arith.tau_e(arith.factorize(2**12)) == 6
+    assert arith.tau_e(arith.factorize(2**12).exponents) == 6
     with pytest.raises(DomainError):
         arith.small_divisors(0)
