@@ -6,7 +6,7 @@ division over primes below 10^4 followed by Brent's variant of Pollard rho,
 with a deterministic Miller-Rabin primality test.  tau, tau_e and the
 e-divisor exponent vectors take an exponent sequence, so the integers and
 the ideals pO_K share them.  exponent_stats sieves the exponents of a whole
-block of consecutive integers with numpy.
+block of consecutive integers with numpy, imported by the range kernels only.
 """
 
 from __future__ import annotations
@@ -14,13 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as _cartesian
+from itertools import compress, product as _cartesian
 from operator import itemgetter
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import DomainError, RangeError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _TRIAL_LIMIT = 10**4
 
@@ -31,8 +32,8 @@ MAX_SIEVE_LIMIT = 10**7
 # Longest divisor or e-divisor list the enumerators will build.
 MAX_DIVISORS = 10**6
 
-# a log a for every exponent a of an int64 (a <= 63); 0 stands for no prime.
-_ALOG = np.array([0.0] + [k * math.log(k) for k in range(1, 64)])
+# Polynomial constants c of x^2 + c that _pollard_brent tries, in order.
+_POLLARD_CONSTANTS = range(1, 1000)
 
 # Witness set sufficient for a deterministic Miller-Rabin test far beyond 64 bits.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -48,12 +49,12 @@ def primes_up_to(limit: int) -> list[int]:
     if limit < 2:
         return []
     _require_sieve_limit(limit)
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
+    flags = bytearray(b"\x01") * (limit + 1)
+    flags[:2] = b"\x00\x00"
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
-            flags[p * p :: p] = False
-    return np.nonzero(flags)[0].tolist()
+            flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    return list(compress(range(limit + 1), flags))
 
 
 _SMALL_PRIMES: tuple[int, ...] = tuple(primes_up_to(_TRIAL_LIMIT))
@@ -93,7 +94,7 @@ def _pollard_brent(n: int) -> int:
     """
     if n % 2 == 0:
         return 2
-    for c in range(1, 1000):
+    for c in _POLLARD_CONSTANTS:
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
         while g == 1:
@@ -116,7 +117,7 @@ def _pollard_brent(n: int) -> int:
                 g = math.gcd(abs(x - ys), n)
         if g != n:
             return g
-    raise RuntimeError(f"pollard rho exhausted its parameter sweep on {n}")
+    raise RangeError(f"pollard rho exhausted its parameter sweep on {n}")
 
 
 # Factorization.exponents is built twice per n by the e-divisor sweep;
@@ -308,6 +309,7 @@ def exponential_divisors(f: Factorization) -> list[Factorization]:
 
 def spf_sieve(limit: int) -> np.ndarray:
     """Smallest-prime-factor table up to limit; spf[p] == p for primes."""
+    import numpy as np
     if limit < 1:
         raise DomainError("sieve limit must be >= 1")
     _require_sieve_limit(limit)
@@ -341,6 +343,7 @@ class ExponentStats:
 
     @property
     def n(self) -> np.ndarray:
+        import numpy as np
         return np.arange(self.lo, self.lo + len(self.big_omega), dtype=np.int64)
 
 
@@ -352,6 +355,7 @@ def exponent_stats(lo: int, hi: int) -> ExponentStats:
     the prime powers found do not multiply to n, the rest is a single prime
     above the square root, with exponent 1.
     """
+    import numpy as np
     if not 1 <= lo <= hi:
         raise DomainError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
     _require_sieve_limit(hi - lo)
@@ -384,9 +388,11 @@ def exponent_stats(lo: int, hi: int) -> ExponentStats:
     large = np.nonzero(found != np.arange(lo, hi, dtype=np.int64))[0]
     slots[large + omega[large] * np.intp(size)] = 1
     omega[large] += 1
+    # a log a for every exponent a of an int64 (a <= 63); 0 stands for no prime.
+    alog_table = np.array([0.0] + [k * math.log(k) for k in range(1, 64)])
     alog = np.zeros(size)
     for row in exps:
-        alog += _ALOG[row]
+        alog += alog_table[row]
     # Less one, as uint8, an absent prime's 0 becomes 255 and never wins the
     # minimum; for n = 1 it wraps back to 0.
     min_exp = ((exps.view(np.uint8) - np.uint8(1)).min(axis=0) + np.uint8(1)).view(np.int8)

@@ -11,6 +11,7 @@ Exit codes: 0 ok, 1 verification violation, 2 usage or domain error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -162,7 +163,8 @@ def _scan_result(summary: laws.ScanSummary) -> tuple[dict, int]:
         "suite": "products",
         "maxM": summary.max_m,
         "maxN": summary.max_n,
-        "pairs": summary.pairs,
+        "checked": summary.pairs,
+        "violationCount": len(summary.violations),
         "counts": dict(summary.counts),
         "witnessGreater": list(summary.witness_greater)
         if summary.witness_greater
@@ -200,7 +202,10 @@ def _cmd_verify(args) -> int:
     return _run_suite(args, args.suite, args.max)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; each parse_args call
+    fills a fresh Namespace."""
     parser = argparse.ArgumentParser(
         prog="entropia",
         description="Entropies of integers and prime-splitting ideals.",

@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations, product as _cartesian
 
-import numpy as np
-
 from . import arith, entropy, numfield
 from .arith import Factorization
 from .errors import DomainError, RangeError, VerificationError
@@ -33,9 +31,6 @@ SWEEP_CHUNK = 1 << 16
 
 # Pairs per block of the coprime-pair scan.
 SCAN_BLOCK = 1 << 18
-
-# log k for every Omega(n) and omega(n) of an int64 (k <= 63).
-_LOGS = np.array([0.0] + [math.log(k) for k in range(1, 64)])
 
 
 class Relation(str, Enum):
@@ -317,6 +312,7 @@ def scan_product_inequality(
     block of rows at a time.  Witnesses are the first extreme pair in
     row-major order.
     """
+    import numpy as np
     if max_m > limit or max_n > limit:
         raise RangeError(f"scan bounds above the limit {limit}")
     _require_bound("products", min(max_m, max_n))
@@ -407,12 +403,15 @@ def _stat_chunks(limit: int):
 
 def sweep_entropy_bounds(limit: int) -> CheckSummary:
     """Check 0 <= H(n) <= log omega(n) for every n in [2, limit]."""
+    import numpy as np
     _require_bound("bounds", limit)
     summary = CheckSummary("bounds", 0)
+    # log k for every Omega(n) and omega(n) of an int64 (k <= 63).
+    logs = np.array([0.0] + [math.log(k) for k in range(1, 64)])
     for st in _stat_chunks(limit):
         big = st.big_omega
-        h = np.where(big > 1, _LOGS[big] - st.alog_sum / big, 0.0)
-        ok = (-EQUAL_TOL <= h) & (h <= _LOGS[st.small_omega] + EQUAL_TOL)
+        h = np.where(big > 1, logs[big] - st.alog_sum / big, 0.0)
+        ok = (-EQUAL_TOL <= h) & (h <= logs[st.small_omega] + EQUAL_TOL)
         summary.checked += len(h)
         for i in np.nonzero(~ok)[0]:
             summary.record(
@@ -446,6 +445,7 @@ def sweep_corollary_int(limit: int) -> CheckSummary:
     kept; a count that disagrees with the class count raises
     VerificationError.
     """
+    import numpy as np
     _require_bound("corollary-int", limit)
     checked = 0
     total = 0
@@ -630,9 +630,11 @@ def check_hbar_closed_form(
 
 def check_hbar_limit_monotone(limit: int = 10**6) -> CheckSummary:
     """hbar_limit strictly decreasing over all primes <= limit."""
+    import numpy as np
     _require_bound("hbar-limit", limit)
-    primes = np.array(arith.primes_up_to(limit), dtype=np.float64)
-    values = primes * np.log(primes) / (primes - 1) - np.log(primes - 1)
+    primes = arith.primes_up_to(limit)
+    p = np.array(primes, dtype=np.float64)
+    values = p * np.log(p) / (p - 1) - np.log(p - 1)
     summary = CheckSummary("hbar-limit", len(primes), extra={"limit": limit})
     bad = np.nonzero(np.diff(values) >= 0)[0]
     for i in bad[:MAX_VIOLATIONS_KEPT]:

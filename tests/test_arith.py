@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -189,8 +190,10 @@ def test_sieves_refuse_oversized_tables_before_allocating(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("allocated a sieve table above the cap")
 
-    monkeypatch.setattr(arith.np, "zeros", refuse)
-    monkeypatch.setattr(arith.np, "ones", refuse)
+    monkeypatch.setattr(np, "zeros", refuse)
+    monkeypatch.setattr(np, "ones", refuse)
+    # primes_up_to's flag table: a module global shadows the builtin.
+    monkeypatch.setattr(arith, "bytearray", refuse, raising=False)
     for sieve in (arith.spf_sieve, arith.primes_up_to):
         with pytest.raises(RangeError):
             sieve(arith.MAX_SIEVE_LIMIT + 1)

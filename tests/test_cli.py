@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from entropia import cli, laws
+from entropia import arith, cli, laws
 from entropia.cli import canonical_json, main
 
 
@@ -144,6 +148,8 @@ def test_verify_products(capsys):
     assert code == 0
     counts = doc["result"]["counts"]
     assert counts["LESS"] > 0 and counts["EQUAL"] > 0
+    assert doc["result"]["checked"] == sum(counts.values())
+    assert doc["result"]["violationCount"] == 0
 
 
 def test_verify_unknown_suite(capsys):
@@ -190,11 +196,13 @@ def test_verify_all_runs_every_suite(capsys):
     ]
     assert [doc["inputs"]["suite"] for doc in docs] == names
     assert [doc["result"]["suite"] for doc in docs] == names
-    failing = [doc["result"] for doc in docs if doc["status"] == "violation"]
-    assert {r["suite"] for r in failing} == {
-        "exponents-ge3", "prop41", "corollary-int", "corollary-ideal"
+    failing = {
+        doc["result"]["suite"] for doc in docs if doc["result"]["violationCount"] > 0
     }
-    assert all(r["violationCount"] > 0 for r in failing)
+    assert failing == {"exponents-ge3", "prop41", "corollary-int", "corollary-ideal"}
+    for doc in docs:
+        assert (doc["status"] == "violation") == (doc["result"]["suite"] in failing)
+        assert doc["result"]["checked"] > 0
     assert docs[names.index("shannon")] == run_json(capsys, "verify", "shannon")[1]
 
 
@@ -211,3 +219,66 @@ def test_verify_oversized_sieve_is_usage_error(capsys, monkeypatch):
 def test_error_envelope_keeps_inputs(capsys):
     code, doc, _ = run_json(capsys, "compare", "6", "10")
     assert code == 2 and doc["inputs"] == {"m": 6, "n": 10}
+
+
+def test_pollard_failure_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr(arith, "_POLLARD_CONSTANTS", ())
+    n = 10007 * 10009  # both primes above the trial-division limit
+    code, doc, _ = run_json(capsys, "entropy", str(n))
+    assert code == 2 and doc["status"] == "error"
+    assert doc["inputs"] == {"n": n}
+    assert "pollard" in doc["result"]["error"]
+
+
+# --- per-process setup ------------------------------------------------------
+
+
+def test_cached_parser_matches_a_fresh_one(capsys):
+    argvs = [
+        ("--json", "verify", "products", "--max", "30"),
+        ("--json", "entropy", "not-a-number"),
+        ("--json", "entropy", "360"),
+        ("--json", "verify", "shannon"),
+        ("verify", "shannon", "--max", "1"),
+        ("entropy", "360"),
+        ("--json", "compare", "22", "105"),
+    ]
+    assert cli.build_parser() is cli.build_parser()
+    reused = [run(capsys, *argv) for argv in argvs]
+    fresh = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert reused == fresh
+    assert reused[1][0] == 2 and "usage:" in reused[1][2]
+    assert json.loads(reused[2][1])["inputs"] == {"n": 360}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["-c", "import entropia"],
+        ["-m", "entropia", "--json", "entropy", "360"],
+        ["-m", "entropia", "--json", "compare", "22", "105"],
+        ["-m", "entropia", "--json", "ideal", "cubic:2", "31"],
+        ["-m", "entropia", "--json", "edivisors", "360"],
+    ],
+)
+def test_queries_never_import_numpy(argv):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert "entropia.laws" in imported
+    assert not {name for name in imported if name.split(".")[0] == "numpy"}

@@ -259,6 +259,13 @@ def test_random_suites_clean():
     assert laws.check_hbar_limit_monotone(10**5).ok
 
 
+def test_hbar_limit_witnesses_name_integer_primes(monkeypatch):
+    monkeypatch.setattr(arith, "primes_up_to", lambda limit: [2, 5, 3, 7])
+    summary = laws.check_hbar_limit_monotone(10)
+    assert summary.violation_count == 1
+    assert summary.violations == ["not decreasing between primes 5 and 3"]
+
+
 def test_eq_identity_needs_a_coprime_pair_in_range():
     # Below 3 the only draw is (2, 2); rejected instead of redrawing forever.
     with pytest.raises(DomainError):
