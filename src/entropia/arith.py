@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, product as _cartesian
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import DomainError, RangeError
 
@@ -25,8 +25,8 @@ if TYPE_CHECKING:
 
 _TRIAL_LIMIT = 10**4
 
-# Largest table spf_sieve and primes_up_to will allocate: the int64 SPF
-# table at this size takes 80 MB.
+# Largest range a sieve table covers: primes_up_to's flags, an exponent_stats
+# block, the edivisors suite's int32 convolution table (40 MB at this size).
 MAX_SIEVE_LIMIT = 10**7
 
 # Longest divisor or e-divisor list the enumerators will build.
@@ -120,8 +120,8 @@ def _pollard_brent(n: int) -> int:
     raise RangeError(f"pollard rho exhausted its parameter sweep on {n}")
 
 
-# Factorization.exponents is built twice per n by the e-divisor sweep;
-# mapping itemgetter is the cheapest way to build it.
+# Factorization.exponents is read on every divisors and e-divisor call and
+# twice per gap_formula call; mapping itemgetter is the cheapest way to build it.
 _second = itemgetter(1)
 
 
@@ -307,23 +307,6 @@ def exponential_divisors(f: Factorization) -> list[Factorization]:
     return out
 
 
-def spf_sieve(limit: int) -> np.ndarray:
-    """Smallest-prime-factor table up to limit; spf[p] == p for primes."""
-    import numpy as np
-    if limit < 1:
-        raise DomainError("sieve limit must be >= 1")
-    _require_sieve_limit(limit)
-    spf = np.zeros(limit + 1, dtype=np.int64)
-    spf[1] = 1
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            view = spf[p::p]
-            view[view == 0] = p
-    rest = spf == 0
-    spf[rest] = np.nonzero(rest)[0]
-    return spf
-
-
 @dataclass(frozen=True)
 class ExponentStats:
     """Exponent statistics of every n in [lo, hi), one array entry per n.
@@ -407,25 +390,3 @@ def exponent_stats(lo: int, hi: int) -> ExponentStats:
         squares=(exps == 2).sum(axis=0, dtype=np.int8),
     )
 
-
-def factored_range(
-    limit: int, spf: np.ndarray | None = None
-) -> Iterator[tuple[int, list[tuple[int, int]]]]:
-    """Yield (n, [(p, a), ...]) for every n in [2, limit] via an SPF table.
-
-    Far cheaper than calling factorize per value when sweeping a full range.
-    """
-    if spf is None:
-        spf = spf_sieve(limit)
-    table = spf.tolist()
-    for n in range(2, limit + 1):
-        m = n
-        entries = []
-        while m > 1:
-            p = table[m]
-            a = 0
-            while m % p == 0:
-                m //= p
-                a += 1
-            entries.append((p, a))
-        yield n, entries

@@ -32,6 +32,9 @@ SWEEP_CHUNK = 1 << 16
 # Pairs per block of the coprime-pair scan.
 SCAN_BLOCK = 1 << 18
 
+# Largest n whose e-divisors the edivisors suite enumerates.
+ENUMERATION_LIMIT = 10**4
+
 
 class Relation(str, Enum):
     LESS = "LESS"
@@ -479,17 +482,112 @@ def sweep_corollary_int(limit: int) -> CheckSummary:
     )
 
 
+def _tau_e_by_kernel(st: arith.ExponentStats):
+    """tau_e of every n in one exponent_stats block: the product of tau(a)
+    over its exponents, tau being the one arith.tau_e takes."""
+    import numpy as np
+    # tau(a) for every exponent of an int64 (a <= 63); 0 stands for no prime.
+    taus = np.array([1] + [arith.tau_e((a,)) for a in range(1, 64)])
+    return taus[st.exponents].prod(axis=0)
+
+
+def _convolution_weights(limit: int) -> list[tuple[int, int]]:
+    """(k, g(k)) for every powerful k <= limit with g(k) != 0, k = 1 included.
+
+    g is multiplicative with g(p) = 0 and g(p^a) = tau(a) - tau(a - 1) for
+    a >= 2, so that tau_e = 1 * g (Subbarao, "On some arithmetic
+    convolutions", LNM 251, 1972).  tau is counted here by its own sieve.
+    """
+    top = limit.bit_length()  # above every exponent of an n <= limit
+    tau = [0] * (top + 1)
+    for d in range(1, top + 1):
+        for m in range(d, top + 1, d):
+            tau[m] += 1
+    primes = arith.primes_up_to(math.isqrt(limit))
+    out = [(1, 1)]
+
+    def extend(k: int, g: int, first: int) -> None:
+        for i in range(first, len(primes)):
+            p = primes[i]
+            q, a = k * p * p, 2
+            if q > limit:
+                return
+            while q <= limit:
+                w = g * (tau[a] - tau[a - 1])
+                if w:  # a zero weight makes every multiple's weight zero too
+                    out.append((q, w))
+                    extend(q, w, i + 1)
+                q, a = q * p, a + 1
+
+    extend(1, 1, 0)
+    return out
+
+
+def _tau_e_by_convolution(limit: int):
+    """tau_e(n) at index n for every n <= limit, as the sum of g(k) over k | n."""
+    import numpy as np
+    arith._require_sieve_limit(limit)
+    acc = np.zeros(limit + 1, dtype=np.int32)
+    for k, w in _convolution_weights(limit):
+        acc[k::k] += w
+    return acc
+
+
+def _edivisors_by_definition(f: Factorization) -> list[int]:
+    """The divisors d of n with the primes of n and v_p(d) | a_p at every p,
+    ascending: the candidates are d = rad(n) d' for every d' | n / rad(n)."""
+    rad = 1
+    for p, _ in f.entries:
+        rad *= p
+    candidates = [rad]
+    for p, a in f.entries:
+        if a > 1:
+            candidates = [d * p**k for d in candidates for k in range(a)]
+    candidates.sort()
+    out = []
+    for d in candidates:
+        for p, a in f.entries:
+            v, m = 1, d // p  # p divides every candidate
+            while m % p == 0:
+                m //= p
+                v += 1
+            if a % v:
+                break
+        else:
+            out.append(d)
+    return out
+
+
 def sweep_edivisor_counts(limit: int) -> CheckSummary:
-    """Check |exponential_divisors(n)| == tau_e(n) for every n in [2, limit]."""
+    """tau_e(n) by two independent routes for every n in [2, limit], and the
+    e-divisor enumerator against the definition for n <= ENUMERATION_LIMIT.
+
+    The exponent kernel takes the product of tau(a) over the exponents of n;
+    the convolution route sums g(k) over the powerful k | n.  Each n where
+    they differ, or where exponential_divisors lists other values than the
+    definition gives, is a violation.
+    """
     _require_bound("edivisors", limit)
-    summary = CheckSummary("edivisors", 0)
-    for n, entries in arith.factored_range(limit):
-        f = Factorization(tuple(entries), n)
-        expected = arith.tau_e(f.exponents)
-        got = len(arith.exponential_divisors(f))
-        summary.checked += 1
-        if got != expected:
-            summary.record(f"n={n}: {got} e-divisors, tau_e = {expected}")
+    convolution = _tau_e_by_convolution(limit)
+    enumerated_to = min(limit, ENUMERATION_LIMIT)
+    summary = CheckSummary(
+        "edivisors", limit - 1, extra={"tauESum": 0, "enumeratedTo": enumerated_to}
+    )
+    for st in _stat_chunks(limit):
+        kernel = _tau_e_by_kernel(st)
+        convolved = convolution[st.lo : st.lo + len(kernel)]
+        summary.extra["tauESum"] += int(kernel.sum())
+        for i in (kernel != convolved).nonzero()[0]:
+            summary.record(
+                f"n={st.lo + i}: tau_e = {kernel[i]} by the exponent kernel, "
+                f"{convolved[i]} by 1 * g"
+            )
+    for n in range(2, enumerated_to + 1):
+        f = arith.factorize(n)
+        got = [d.value for d in arith.exponential_divisors(f)]
+        want = _edivisors_by_definition(f)
+        if got != want:
+            summary.record(f"n={n}: e-divisors {got} enumerated, {want} by definition")
     return summary
 
 
@@ -543,14 +641,21 @@ def generated_ideal_patterns(max_p: int = 200) -> list[numfield.SplittingPattern
 
 
 def sweep_ideal_edivisor_counts(max_p: int = 200) -> CheckSummary:
-    """|e-divisor vectors| == tau_e of the ramification indices over generated
+    """The e-divisor vectors of the ramification indices against the
+    definition, every b with b_i | e_i in product order, over generated
     patterns."""
     summary = CheckSummary("ideal-edivisors", 0)
     for sp in generated_ideal_patterns(max_p):
         summary.checked += 1
         es = sp.ramification_indices
-        if len(arith.exponential_divisor_vectors(es)) != arith.tau_e(es):
-            summary.record(f"pattern {sp.factors}: count != tau_e")
+        got = arith.exponential_divisor_vectors(es)
+        want = [
+            bs
+            for bs in _cartesian(*(range(1, e + 1) for e in es))
+            if all(e % b == 0 for e, b in zip(es, bs))
+        ]
+        if got != want:
+            summary.record(f"pattern {sp.factors}: e-divisor vectors {got}, definition {want}")
     return summary
 
 
@@ -635,12 +740,12 @@ def check_hbar_limit_monotone(limit: int = 10**6) -> CheckSummary:
     primes = arith.primes_up_to(limit)
     p = np.array(primes, dtype=np.float64)
     values = p * np.log(p) / (p - 1) - np.log(p - 1)
-    summary = CheckSummary("hbar-limit", len(primes), extra={"limit": limit})
     bad = np.nonzero(np.diff(values) >= 0)[0]
-    for i in bad[:MAX_VIOLATIONS_KEPT]:
-        summary.record(f"not decreasing between primes {primes[i]} and {primes[i+1]}")
-    summary.violation_count = int(len(bad))
-    return summary
+    kept = [
+        f"not decreasing between primes {primes[i]} and {primes[i+1]}"
+        for i in bad[:MAX_VIOLATIONS_KEPT]
+    ]
+    return CheckSummary("hbar-limit", len(primes), kept, len(bad), {"limit": limit})
 
 
 def check_shannon_identity(max_p: int = 100, tol: float = 1e-12) -> CheckSummary:

@@ -181,11 +181,6 @@ def test_primes_up_to():
     assert arith.primes_up_to(1) == []
 
 
-def test_spf_and_factored_range_agree_with_factorize():
-    for n, entries in arith.factored_range(500):
-        assert tuple(entries) == factorize(n).entries
-
-
 def test_sieves_refuse_oversized_tables_before_allocating(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("allocated a sieve table above the cap")
@@ -194,11 +189,10 @@ def test_sieves_refuse_oversized_tables_before_allocating(monkeypatch):
     monkeypatch.setattr(np, "ones", refuse)
     # primes_up_to's flag table: a module global shadows the builtin.
     monkeypatch.setattr(arith, "bytearray", refuse, raising=False)
-    for sieve in (arith.spf_sieve, arith.primes_up_to):
-        with pytest.raises(RangeError):
-            sieve(arith.MAX_SIEVE_LIMIT + 1)
-        with pytest.raises(RangeError):
-            sieve(10**10)
+    with pytest.raises(RangeError):
+        arith.primes_up_to(arith.MAX_SIEVE_LIMIT + 1)
+    with pytest.raises(RangeError):
+        arith.primes_up_to(10**10)
     with pytest.raises(RangeError):
         arith.exponent_stats(2, arith.MAX_SIEVE_LIMIT + 3)
 

@@ -282,3 +282,27 @@ def test_queries_never_import_numpy(argv):
     }
     assert "entropia.laws" in imported
     assert not {name for name in imported if name.split(".")[0] == "numpy"}
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        ["-m", "entropia"],
+        # what the installed `entropia` console script runs
+        ["-c", "import sys; from entropia.__main__ import run; sys.exit(run())"],
+    ],
+)
+def test_closed_stdout_exits_141_without_a_traceback(entry):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, *entry, "--json", "verify", "corollary-ideal"],
+        env={**os.environ, "PYTHONPATH": path},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()  # the reader goes away before the first write
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""

@@ -245,6 +245,59 @@ def test_sweep_edivisor_counts_small():
     assert summary.ok
 
 
+# Each part of the edivisors suite, given one planted fault, must report it.
+
+
+def test_edivisors_reports_a_dropped_edivisor(monkeypatch):
+    enumerate_all = arith.exponential_divisors
+    monkeypatch.setattr(
+        arith,
+        "exponential_divisors",
+        lambda f: enumerate_all(f)[:-1] if f.value == 7200 else enumerate_all(f),
+    )
+    summary = laws.sweep_edivisor_counts(10**4)
+    assert summary.violation_count == 1
+    assert summary.violations == [
+        "n=7200: e-divisors [30, 90, 150, 450, 480, 1440, 2400] enumerated, "
+        "[30, 90, 150, 450, 480, 1440, 2400, 7200] by definition"
+    ]
+
+
+def test_edivisors_reports_a_wrong_kernel_tau(monkeypatch):
+    tau_e = arith.tau_e
+    monkeypatch.setattr(arith, "tau_e", lambda es: 3 if tuple(es) == (7,) else tau_e(es))
+    summary = laws.sweep_edivisor_counts(1000)
+    assert summary.violation_count == 4  # 128 times 1, 3, 5 and 7
+    assert summary.violations[0] == "n=128: tau_e = 3 by the exponent kernel, 2 by 1 * g"
+
+
+def test_edivisors_reports_a_wrong_convolution_weight(monkeypatch):
+    weights = laws._convolution_weights
+    monkeypatch.setattr(
+        laws,
+        "_convolution_weights",
+        lambda limit: [(k, w + (k == 2**5)) for k, w in weights(limit)],
+    )
+    summary = laws.sweep_edivisor_counts(1000)
+    assert summary.violation_count == 1000 // 32
+    assert summary.violations[0] == "n=32: tau_e = 2 by the exponent kernel, 3 by 1 * g"
+
+
+def test_ideal_edivisors_reports_a_dropped_vector(monkeypatch):
+    vectors = arith.exponential_divisor_vectors
+    monkeypatch.setattr(
+        arith,
+        "exponential_divisor_vectors",
+        lambda es: vectors(es)[:-1] if tuple(es) == (12,) else vectors(es),
+    )
+    summary = laws.sweep_ideal_edivisor_counts()
+    assert summary.violation_count == 1
+    assert summary.violations == [
+        "pattern ((12, 1),): e-divisor vectors [(1,), (2,), (3,), (4,), (6,)], "
+        "definition [(1,), (2,), (3,), (4,), (6,), (12,)]"
+    ]
+
+
 def test_sweep_splitting_small():
     summary = laws.sweep_splitting(10**3)
     assert summary.ok

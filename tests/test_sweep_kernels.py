@@ -1,15 +1,17 @@
 """The range sweeps on the exponent-statistics kernel against per-n loops.
 
 The oracle functions below are the per-n loops the sweeps used before they
-moved onto arith.exponent_stats, kept verbatim.  The kernel sweeps must
-reproduce their summaries exactly: tallies, messages, witnesses and the
-floats inside them.
+moved onto arith.exponent_stats, kept verbatim, with the smallest-prime-
+factor sieve and decode they ran on.  The kernel sweeps must reproduce their
+summaries exactly: tallies, messages, witnesses and the floats inside them.
 """
 
 import math
 from dataclasses import asdict
+from functools import cache
 from itertools import product as _cartesian
 
+import numpy as np
 import pytest
 
 from entropia import arith, laws
@@ -30,6 +32,35 @@ SWEEP_LIMITS = [2, 3, 100, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7, 10**5]
 
 
 # --- the per-n loops, verbatim ------------------------------------------------
+
+
+def spf_sieve(limit: int) -> np.ndarray:
+    """Smallest-prime-factor table up to limit; spf[p] == p for primes."""
+    spf = np.zeros(limit + 1, dtype=np.int64)
+    spf[1] = 1
+    for p in range(2, math.isqrt(limit) + 1):
+        if spf[p] == 0:
+            view = spf[p::p]
+            view[view == 0] = p
+    rest = spf == 0
+    spf[rest] = np.nonzero(rest)[0]
+    return spf
+
+
+def factored_range(limit: int):
+    """Yield (n, [(p, a), ...]) for every n in [2, limit] via an SPF table."""
+    table = spf_sieve(limit).tolist()
+    for n in range(2, limit + 1):
+        m = n
+        entries = []
+        while m > 1:
+            p = table[m]
+            a = 0
+            while m % p == 0:
+                m //= p
+                a += 1
+            entries.append((p, a))
+        yield n, entries
 
 
 def _entropy_of_exponents(exps: list[int]) -> float:
@@ -61,7 +92,7 @@ def loop_scan_product_inequality(
     if top < 2:
         return summary
     facts: dict[int, list[tuple[int, int]]] = {}
-    for v, entries in arith.factored_range(top):
+    for v, entries in factored_range(top):
         facts[v] = entries
     h_cache = {v: _entropy_of_exponents([a for _, a in e]) for v, e in facts.items()}
     for m in range(2, max_m + 1):
@@ -102,7 +133,7 @@ def loop_scan_product_inequality(
 def loop_sweep_entropy_bounds(limit: int) -> CheckSummary:
     """Check 0 <= H(n) <= log omega(n) for every n in [2, limit]."""
     summary = CheckSummary("bounds", 0)
-    table = arith.spf_sieve(limit).tolist()
+    table = spf_sieve(limit).tolist()
     # Omega(n) <= 63 for anything a sweep can reach; table lookups only.
     logs = [0.0] + [math.log(k) for k in range(1, 64)]
     alog = [0.0] + [k * math.log(k) for k in range(1, 64)]
@@ -130,7 +161,7 @@ def loop_sweep_entropy_bounds(limit: int) -> CheckSummary:
 def loop_sweep_corollary_int(limit: int) -> CheckSummary:
     """Run check_corollary_int over every conforming n <= limit."""
     summary = CheckSummary("corollary-int", 0)
-    for n, entries in arith.factored_range(limit):
+    for n, entries in factored_range(limit):
         if len(entries) < 3 or any(a not in (1, 2) for _, a in entries):
             continue
         f = Factorization(tuple(entries), n)
@@ -141,6 +172,22 @@ def loop_sweep_corollary_int(limit: int) -> CheckSummary:
                 f"n={n}: H({value}) = {h_d:.12g} > H(n) = {rep.h_subject:.12g}"
             )
     return summary
+
+
+def loop_sweep_edivisor_counts(limit: int) -> tuple[CheckSummary, list[int]]:
+    """Check |exponential_divisors(n)| == tau_e(n) for every n in [2, limit];
+    also returns the count for each n."""
+    summary = CheckSummary("edivisors", 0)
+    counts = []
+    for n, entries in factored_range(limit):
+        f = Factorization(tuple(entries), n)
+        expected = arith.tau_e(f.exponents)
+        got = len(arith.exponential_divisors(f))
+        counts.append(got)
+        summary.checked += 1
+        if got != expected:
+            summary.record(f"n={n}: {got} e-divisors, tau_e = {expected}")
+    return summary, counts
 
 
 def loop_exponential_divisors(f: Factorization) -> list[Factorization]:
@@ -218,6 +265,25 @@ def test_violation_paths_match_loop(monkeypatch, tol, kernel, loop, bound):
     assert got["violations"]
 
 
+@cache
+def loop_edivisor_counts() -> list[int]:
+    """|exponential_divisors(n)| for n in [2, max(SWEEP_LIMITS)], by the loop."""
+    summary, counts = loop_sweep_edivisor_counts(max(SWEEP_LIMITS))
+    assert summary.ok
+    return counts
+
+
+@pytest.mark.parametrize("limit", [3000] + SWEEP_LIMITS)
+def test_tau_e_routes_match_loop(limit):
+    want = loop_edivisor_counts()[: limit - 1]
+    kernel = np.concatenate([laws._tau_e_by_kernel(st) for st in laws._stat_chunks(limit)])
+    assert kernel.tolist() == want
+    assert laws._tau_e_by_convolution(limit)[2:].tolist() == want
+    summary = laws.sweep_edivisor_counts(limit)
+    assert summary.checked == limit - 1 and summary.ok
+    assert summary.extra == {"tauESum": sum(want), "enumeratedTo": min(limit, 10**4)}
+
+
 # --- goldens at the acceptance bounds -----------------------------------------
 
 
@@ -235,6 +301,13 @@ def test_corollary_int_golden():
     assert summary.violations[0] == (
         "n=60: H(30) = 1.09861228867 > H(n) = 1.03972077084"
     )
+
+
+def test_edivisors_golden():
+    summary = laws.sweep_edivisor_counts(10**5)
+    assert summary.checked == 10**5 - 1
+    assert summary.violation_count == 0 and summary.violations == []
+    assert summary.extra == {"tauESum": 159860, "enumeratedTo": 10**4}
 
 
 def test_products_golden():
