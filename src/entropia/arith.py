@@ -2,11 +2,13 @@
 
 Everything here is exact integer arithmetic, except the sum of a log a
 that exponent_stats carries for the range sweeps.  Factorization is trial
-division over primes below 10^4 followed by Brent's variant of Pollard rho,
-with a deterministic Miller-Rabin primality test.  tau, tau_e and the
-e-divisor exponent vectors take an exponent sequence, so the integers and
-the ideals pO_K share them.  exponent_stats sieves the exponents of a whole
-block of consecutive integers with numpy, imported by the range kernels only.
+division over primes below 10^4 followed by Brent's variant of Pollard rho.
+The primality test is Miller-Rabin with the twelve prime bases up to 37,
+deterministic below PSI_12; from PSI_12 on, a strong Lucas test follows, so
+the test is at least BPSW.  tau, tau_e and the e-divisor exponent vectors
+take an exponent sequence, so the integers and the ideals pO_K share them.
+exponent_stats sieves the exponents of a whole block of consecutive integers
+with numpy, imported by the range kernels only.
 """
 
 from __future__ import annotations
@@ -35,8 +37,12 @@ MAX_DIVISORS = 10**6
 # Polynomial constants c of x^2 + c that _pollard_brent tries, in order.
 _POLLARD_CONSTANTS = range(1, 1000)
 
-# Witness set sufficient for a deterministic Miller-Rabin test far beyond 64 bits.
+# Witness set of a Miller-Rabin test that is deterministic below PSI_12.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# The least strong pseudoprime to every base in _MR_WITNESSES
+# (399165290221 * 798330580441; Sorenson & Webster, Math. Comp. 86, 2017).
+PSI_12 = 318665857834031151167461
 
 
 def _require_sieve_limit(limit: int) -> None:
@@ -62,7 +68,11 @@ _SMALL_PRIMES: tuple[int, ...] = tuple(primes_up_to(_TRIAL_LIMIT))
 
 @lru_cache(maxsize=1 << 16)
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test."""
+    """Miller-Rabin to the bases 2..37, and from PSI_12 on a strong Lucas test.
+
+    Exact below PSI_12.  From there on it is at least BPSW, for which no
+    composite that passes is known.
+    """
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -83,7 +93,59 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < PSI_12 or _is_strong_lucas_prp(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    out = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                out = -out
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            out = -out
+        a %= n
+    return out if n == 1 else 0
+
+
+def _is_strong_lucas_prp(n: int) -> bool:
+    """Strong Lucas probable-prime test of odd n > 37 with Selfridge's
+    parameters: the first D in 5, -7, 9, -11, ... with (D/n) = -1, P = 1,
+    Q = (1 - D)/4 (Baillie & Wagstaff, Math. Comp. 35, 1980)."""
+    r = math.isqrt(n)
+    if r * r == n:  # no D has (D/n) = -1
+        return False
+    d = 5
+    while True:
+        j = _jacobi(d, n)
+        if j == -1:
+            break
+        if j == 0:  # gcd(|D|, n) > 1 and |D| < n
+            return False
+        d = -d - 2 if d > 0 else -d + 2
+    q = (1 - d) // 4
+    k, s = n + 1, 0
+    while k % 2 == 0:
+        k //= 2
+        s += 1
+    inv2 = (n + 1) // 2
+    # U_j, V_j and Q^j mod n, from j = 1 along the bits of k (P = 1).
+    u, v, qj = 1, 1, q % n
+    for bit in bin(k)[3:]:
+        u, v, qj = u * v % n, (v * v - 2 * qj) % n, qj * qj % n
+        if bit == "1":
+            u, v, qj = (u + v) * inv2 % n, (d * u + v) * inv2 % n, qj * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qj = (v * v - 2 * qj) % n, qj * qj % n
+        if v == 0:
+            return True
+    return False
 
 
 def _pollard_brent(n: int) -> int:
@@ -121,7 +183,8 @@ def _pollard_brent(n: int) -> int:
 
 
 # Factorization.exponents is read on every divisors and e-divisor call and
-# twice per gap_formula call; mapping itemgetter is the cheapest way to build it.
+# twice per gap_formula call, and big_omega on every entropy_H call; mapping
+# itemgetter is the cheapest way to read the exponents for both.
 _second = itemgetter(1)
 
 
@@ -194,9 +257,18 @@ def factorize(n: int) -> Factorization:
     return Factorization(tuple(sorted(acc.items())), value)
 
 
+def coprime_product(fm: Factorization, fn: Factorization) -> Factorization:
+    """The factorization of m * n for coprime m, n: their entries merged.
+
+    Validated like any Factorization, so a prime that m and n share raises
+    DomainError.
+    """
+    return Factorization(tuple(sorted(fm.entries + fn.entries)), fm.value * fn.value)
+
+
 def big_omega(f: Factorization) -> int:
     """Number of prime factors counted with multiplicity."""
-    return sum(a for _, a in f.entries)
+    return sum(map(_second, f.entries))
 
 
 def small_omega(f: Factorization) -> int:

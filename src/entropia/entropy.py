@@ -124,8 +124,15 @@ def entropy_H_appended(f: Factorization, p: int, alpha: int) -> float:
         raise DomainError(f"{p} divides {f.value}; p must be coprime to n")
     if alpha < 1:
         raise DomainError(f"alpha must be >= 1, got {alpha}")
-    t = arith.big_omega(f)
-    h = entropy_H(f)
+    return appended_closed_form(arith.big_omega(f), entropy_H(f), alpha)
+
+
+def appended_closed_form(t: int, h: float, alpha: int) -> float:
+    """H(n * p^alpha) from t = Omega(n) >= 1 and h = H(n), p coprime to n.
+
+    Unchecked: entropy_H_appended validates its inputs and then calls this,
+    so callers that already hold t and h get the same float.
+    """
     total = t + alpha
     return (
         t * h / total

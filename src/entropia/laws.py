@@ -94,20 +94,26 @@ def gap_formula(fm: Factorization, fn: Factorization) -> float:
 def product_entropy_gap(m: int, n: int) -> GapReport:
     """Gap report for coprime m, n >= 2, cross-checked against gap_formula.
 
-    The direct and closed-form routes must agree to 1e-12 relative; a
-    mismatch indicates a real defect and raises VerificationError.
+    m and n are factored once each; H(mn) comes from their merged entries,
+    which are the factorization of mn because m and n are coprime.  The
+    direct and closed-form routes must agree to 1e-12 relative; a mismatch
+    indicates a real defect and raises VerificationError.
     """
     if m < 2 or n < 2:
         raise DomainError("m and n must both be >= 2")
     if math.gcd(m, n) != 1:
         raise DomainError(f"gcd({m}, {n}) != 1")
-    rep = _gap_direct(m, n)
-    formula = gap_formula(arith.factorize(m), arith.factorize(n))
-    if abs(rep.gap - formula) > EQUAL_TOL * max(1.0, abs(rep.gap)):
+    fm, fn = arith.factorize(m), arith.factorize(n)
+    h_m = entropy.entropy_H(fm)
+    h_n = entropy.entropy_H(fn)
+    h_mn = entropy.entropy_H(arith.coprime_product(fm, fn))
+    gap = h_mn - h_m - h_n
+    formula = gap_formula(fm, fn)
+    if abs(gap - formula) > EQUAL_TOL * max(1.0, abs(gap)):
         raise VerificationError(
-            f"gap routes disagree for ({m}, {n}): direct {rep.gap}, formula {formula}"
+            f"gap routes disagree for ({m}, {n}): direct {gap}, formula {formula}"
         )
-    return rep
+    return GapReport(m, n, h_m, h_n, h_mn, gap, _relation(gap))
 
 
 def _require_distinct_primes(*ps: int) -> None:
@@ -197,9 +203,11 @@ def classify_prop41(
     if not 1 <= beta <= alpha:
         raise DomainError(f"need alpha >= beta >= 1, got alpha={alpha}, beta={beta}")
     f = arith.factorize(n)
-    thr = entropy.threshold(f)
-    h_a = entropy.entropy_H_appended(f, p, alpha)
-    h_b = entropy.entropy_H_appended(f, p, beta)
+    t = arith.big_omega(f)
+    h = entropy.entropy_H(f)
+    thr = t * math.exp(-h)
+    h_a = entropy.appended_closed_form(t, h, alpha)
+    h_b = entropy.appended_closed_form(t, h, beta)
     cases: list[str] = []
     if beta >= thr - EQUAL_TOL:
         cases.append("i")
@@ -706,15 +714,18 @@ def random_hbar_additivity(
     """|Hbar(mn) - Hbar(m) - Hbar(n)| <= tol on random coprime pairs."""
     rng = random.Random(seed)
     summary = CheckSummary("hbar-additivity", count, extra={"bound": bound})
-    cache: dict[int, float] = {}
+    # v -> (factorization of v, Hbar(v)); Hbar(mn) is taken from the merge.
+    cache: dict[int, tuple[Factorization, float]] = {}
     for _ in range(count):
         m, n = _random_coprime_pair(rng, bound)
         for v in (m, n):
             if v not in cache:
-                cache[v] = entropy.entropy_Hbar(arith.factorize(v))
-        combined = entropy.entropy_Hbar(arith.factorize(m * n))
-        if abs(combined - cache[m] - cache[n]) > tol:
-            summary.record(f"({m}, {n}): residual {combined - cache[m] - cache[n]}")
+                f = arith.factorize(v)
+                cache[v] = f, entropy.entropy_Hbar(f)
+        (fm, hm), (fn, hn) = cache[m], cache[n]
+        combined = entropy.entropy_Hbar(arith.coprime_product(fm, fn))
+        if abs(combined - hm - hn) > tol:
+            summary.record(f"({m}, {n}): residual {combined - hm - hn}")
     return summary
 
 
@@ -776,7 +787,8 @@ def check_appended_identity(
         alpha = rng.randint(1, 12)
         f = arith.factorize(n)
         closed = entropy.entropy_H_appended(f, p, alpha)
-        direct = entropy.entropy_H(arith.factorize(n * p**alpha))
+        power = Factorization(((p, alpha),), p**alpha)
+        direct = entropy.entropy_H(arith.coprime_product(f, power))
         if abs(closed - direct) > tol * max(1.0, abs(direct)):
             summary.record(f"(n={n}, p={p}, alpha={alpha}): {closed} vs {direct}")
     return summary

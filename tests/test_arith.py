@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -87,6 +88,54 @@ def test_factorization_validates():
         Factorization(((3, 1), (2, 1)), 6)  # not ascending
     with pytest.raises(DomainError):
         Factorization(((2, 1),), 6)  # wrong value
+
+
+def test_coprime_product_merges_entries():
+    f = arith.coprime_product(factorize(22), factorize(105))
+    assert f == factorize(22 * 105)
+    assert f.value == 22 * 105
+    with pytest.raises(DomainError):
+        arith.coprime_product(factorize(6), factorize(10))  # 2 is shared
+
+
+# --- primality past the deterministic Miller-Rabin range --------------------
+
+
+def test_psi12_is_composite():
+    # A strong pseudoprime to every base 2..37; the strong Lucas test rejects it.
+    assert arith.PSI_12 == 399165290221 * 798330580441
+    assert not arith.is_prime(arith.PSI_12)
+    assert factorize(arith.PSI_12).entries == ((399165290221, 1), (798330580441, 1))
+
+
+def test_strong_lucas_rejects_lucas_pseudoprimes_only():
+    # The strong Lucas pseudoprimes below 2 * 10^4 (OEIS A217255) pass it;
+    # every other odd composite there fails it and every prime passes.
+    pseudoprimes = {5459, 5777, 10877, 16109, 18971}
+    for n in range(39, 2 * 10**4, 2):
+        prime = all(n % p for p in range(3, math.isqrt(n) + 1, 2))
+        assert arith._is_strong_lucas_prp(n) == (prime or n in pseudoprimes), n
+
+
+def test_primality_and_factorization_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(12)
+
+    def log_uniform(lo, hi):
+        return int(math.exp(rng.uniform(math.log(lo), math.log(hi))))
+
+    values = [arith.PSI_12]
+    values += [log_uniform(10**6, 10**30) for _ in range(1500)]
+    values += [sympy.nextprime(log_uniform(10**6, 10**30)) for _ in range(100)]
+    values += [
+        sympy.nextprime(log_uniform(10**6, 10**15)) * sympy.nextprime(log_uniform(10**6, 10**15))
+        for _ in range(100)
+    ]
+    for n in values:
+        assert arith.is_prime(n) == sympy.isprime(n), n
+    for _ in range(80):
+        n = log_uniform(10**6, 10**18)
+        assert factorize(n).entries == tuple(sorted(sympy.factorint(n).items())), n
 
 
 # --- counting functions -----------------------------------------------------

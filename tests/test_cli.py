@@ -99,6 +99,22 @@ def test_compare_goldens(capsys):
     assert doc["result"]["relation"] == "EQUAL"
 
 
+def test_compare_factors_each_input_once(capsys, monkeypatch):
+    calls = []
+    real = arith.factorize
+    monkeypatch.setattr(arith, "factorize", lambda n: calls.append(n) or real(n))
+    assert main(["--json", "compare", "22", "105"]) == 0
+    assert calls == [22, 105]
+
+
+def test_entropy_of_psi12(capsys):
+    # The least strong pseudoprime to the bases 2..37 is a semiprime.
+    code, doc, _ = run_json(capsys, "entropy", str(arith.PSI_12))
+    assert code == 0
+    assert doc["result"]["tau"] == 4
+    assert doc["result"]["H"] == pytest.approx(math.log(2), abs=1e-12)
+
+
 def test_compare_non_coprime_is_usage_error(capsys):
     code, _, err = run(capsys, "compare", "6", "10")
     assert code == 2 and "error" in err

@@ -1,8 +1,9 @@
 import math
+import random
 
 import pytest
 
-from entropia import arith, laws, numfield
+from entropia import arith, entropy, laws, numfield
 from entropia.errors import DomainError, RangeError, VerificationError
 from entropia.laws import (
     Relation,
@@ -48,6 +49,57 @@ def test_gap_formula_matches_direct_on_range():
             rep = product_entropy_gap(m, n)  # raises internally on mismatch
             formula = gap_formula(arith.factorize(m), arith.factorize(n))
             assert formula == pytest.approx(rep.gap, rel=1e-12, abs=1e-12)
+
+
+def _gap_direct_oracle(m, n):
+    h_m = entropy.entropy_H(arith.factorize(m))
+    h_n = entropy.entropy_H(arith.factorize(n))
+    h_mn = entropy.entropy_H(arith.factorize(m * n))
+    gap = h_mn - h_m - h_n
+    return laws.GapReport(m, n, h_m, h_n, h_mn, gap, laws._relation(gap))
+
+
+def _product_entropy_gap_oracle(m, n):
+    """product_entropy_gap as it was when it factored mn itself."""
+    if m < 2 or n < 2:
+        raise DomainError("m and n must both be >= 2")
+    if math.gcd(m, n) != 1:
+        raise DomainError(f"gcd({m}, {n}) != 1")
+    rep = _gap_direct_oracle(m, n)
+    formula = gap_formula(arith.factorize(m), arith.factorize(n))
+    if abs(rep.gap - formula) > laws.EQUAL_TOL * max(1.0, abs(rep.gap)):
+        raise VerificationError(
+            f"gap routes disagree for ({m}, {n}): direct {rep.gap}, formula {formula}"
+        )
+    return rep
+
+
+def _same_report(got, want):
+    """Equal dataclasses, with every float equal bit for bit."""
+    assert got == want
+    for a, b in zip(vars(got).values(), vars(want).values()):
+        if isinstance(a, float):
+            assert a.hex() == b.hex()
+
+
+def test_gap_from_merged_factorizations_matches_factoring_mn():
+    for m in range(2, 151):
+        for n in range(2, 151):
+            if math.gcd(m, n) == 1:
+                _same_report(product_entropy_gap(m, n), _product_entropy_gap_oracle(m, n))
+    rng = random.Random(8)
+    pairs = 0
+    while pairs < 2000:
+        m, n = rng.randint(2, 10**9), rng.randint(2, 10**9)
+        if math.gcd(m, n) == 1:
+            _same_report(product_entropy_gap(m, n), _product_entropy_gap_oracle(m, n))
+            pairs += 1
+
+
+def test_gap_routes_disagreeing_raise(monkeypatch):
+    monkeypatch.setattr(laws, "gap_formula", lambda fm, fn: 1.0)
+    with pytest.raises(VerificationError, match="gap routes disagree"):
+        product_entropy_gap(22, 105)
 
 
 # --- parametric families ----------------------------------------------------
@@ -130,6 +182,12 @@ def test_prop41_validation():
         classify_prop41(6, 3, 2, 1)  # p | n
     with pytest.raises(DomainError):
         classify_prop41(6, 5, 1, 2)  # alpha < beta
+    with pytest.raises(DomainError):
+        classify_prop41(1, 5, 2, 1)  # n < 2
+    with pytest.raises(DomainError):
+        classify_prop41(6, 25, 2, 1)  # p not prime
+    with pytest.raises(DomainError):
+        classify_prop41(6, 5, 0, 0)  # beta < 1
 
 
 def test_prop41_case_iii_counterexample_detected():
@@ -140,6 +198,72 @@ def test_prop41_case_iii_counterexample_detected():
     assert rep.contradictions == ("iii",)
     with pytest.raises(VerificationError):
         classify_prop41(12, 5, 2, 1)
+
+
+def _classify_prop41_oracle(n, p, alpha, beta):
+    """classify_prop41(strict=False) as it was, with H(n) computed three times."""
+    if n < 2:
+        raise DomainError("n must be >= 2")
+    if not arith.is_prime(p):
+        raise DomainError(f"{p} is not prime")
+    if n % p == 0:
+        raise DomainError(f"p = {p} must be coprime to n = {n}")
+    if not 1 <= beta <= alpha:
+        raise DomainError(f"need alpha >= beta >= 1, got alpha={alpha}, beta={beta}")
+    tol = laws.EQUAL_TOL
+    f = arith.factorize(n)
+    thr = entropy.threshold(f)
+    h_a = entropy.entropy_H_appended(f, p, alpha)
+    h_b = entropy.entropy_H_appended(f, p, beta)
+    cases: list[str] = []
+    if beta >= thr - tol:
+        cases.append("i")
+    if alpha <= thr + tol:
+        cases.append("ii")
+    if beta <= thr + tol and alpha >= thr - tol:
+        cases.append("iii")
+    contradictions = []
+    for case in cases:
+        if case in ("i", "iii") and h_a > h_b + tol:
+            contradictions.append(case)
+        elif case == "ii" and h_a < h_b - tol:
+            contradictions.append(case)
+    return laws.Prop41Report(
+        n, p, alpha, beta, thr, h_a, h_b, tuple(cases), tuple(contradictions)
+    )
+
+
+def test_prop41_matches_the_three_call_route():
+    rng = random.Random(41)
+    primes = arith.primes_up_to(100)
+    for _ in range(3000):
+        n = rng.randint(2, 10**6)
+        p = rng.choice([q for q in primes if n % q])
+        beta = rng.randint(1, 12)
+        alpha = beta + rng.randint(0, 12)
+        _same_report(
+            classify_prop41(n, p, alpha, beta, strict=False),
+            _classify_prop41_oracle(n, p, alpha, beta),
+        )
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_prop41_factors_once_and_computes_h_once(monkeypatch):
+    factored = _count_calls(monkeypatch, arith, "factorize")
+    entropies = _count_calls(monkeypatch, entropy, "entropy_H")
+    classify_prop41(12, 5, 2, 1, strict=False)
+    assert len(factored) == 1 and len(entropies) == 1
 
 
 @pytest.mark.xfail(
