@@ -2,13 +2,15 @@
 
 Everything here is exact integer arithmetic, except the sum of a log a
 that exponent_stats carries for the range sweeps.  Factorization is trial
-division over primes below 10^4 followed by Brent's variant of Pollard rho.
-The primality test is Miller-Rabin with the twelve prime bases up to 37,
-deterministic below PSI_12; from PSI_12 on, a strong Lucas test follows, so
-the test is at least BPSW.  tau, tau_e and the e-divisor exponent vectors
-take an exponent sequence, so the integers and the ideals pO_K share them.
-exponent_stats sieves the exponents of a whole block of consecutive integers
-with numpy, imported by the range kernels only.
+division over primes below 10^4, which proves its last cofactor prime once
+p^2 exceeds it, followed by Brent's variant of Pollard rho.  The primality
+test is Miller-Rabin with the fewest of the prime bases 2..37 that are
+proven exact for n's size (one base below 2047, all twelve below PSI_12);
+from PSI_12 on, a strong Lucas test follows, so the test is at least BPSW.
+tau, tau_e and the e-divisor exponent vectors take an exponent sequence, so
+the integers and the ideals pO_K share them.  exponent_stats sieves the
+exponents of a whole block of consecutive integers with numpy, imported by
+the range kernels only.
 """
 
 from __future__ import annotations
@@ -44,6 +46,26 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # (399165290221 * 798330580441; Sorenson & Webster, Math. Comp. 86, 2017).
 PSI_12 = 318665857834031151167461
 
+# (psi_k, first k bases): psi_k is the least strong pseudoprime to the first
+# k prime bases, so below it those k bases are exact (Pomerance, Selfridge &
+# Wagstaff, Math. Comp. 35, 1980; Jaeschke, Math. Comp. 61, 1993; Jiang &
+# Deng, Math. Comp. 83, 2014; Sorenson & Webster).  psi_8 = psi_7 and
+# psi_10 = psi_11 = psi_9, so k = 8, 10 and 11 never help.
+_MR_TIERS = tuple(
+    (psi, _MR_WITNESSES[:k])
+    for psi, k in (
+        (2047, 1),
+        (1373653, 2),
+        (25326001, 3),
+        (3215031751, 4),
+        (2152302898747, 5),
+        (3474749660383, 6),
+        (341550071728321, 7),
+        (3825123056546413051, 9),
+        (PSI_12, 12),
+    )
+)
+
 
 def _require_sieve_limit(limit: int) -> None:
     if limit > MAX_SIEVE_LIMIT:
@@ -64,11 +86,13 @@ def primes_up_to(limit: int) -> list[int]:
 
 
 _SMALL_PRIMES: tuple[int, ...] = tuple(primes_up_to(_TRIAL_LIMIT))
+_TRIAL_PAIRS: tuple[tuple[int, int], ...] = tuple((p, p * p) for p in _SMALL_PRIMES)
 
 
 @lru_cache(maxsize=1 << 16)
 def is_prime(n: int) -> bool:
-    """Miller-Rabin to the bases 2..37, and from PSI_12 on a strong Lucas test.
+    """Miller-Rabin to the bases of n's tier in _MR_TIERS, and from PSI_12 on
+    to all twelve bases 2..37 and a strong Lucas test.
 
     Exact below PSI_12.  From there on it is at least BPSW, for which no
     composite that passes is known.
@@ -83,7 +107,11 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    # Without a break, bases is the last tier's: all twelve, for n >= PSI_12.
+    for psi, bases in _MR_TIERS:
+        if n < psi:
+            break
+    for a in bases:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -168,7 +196,7 @@ def _pollard_brent(n: int) -> int:
                 ys = y
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n  # the sign of q never changes a gcd
                 g = math.gcd(q, n)
                 k += m
             r *= 2
@@ -176,7 +204,7 @@ def _pollard_brent(n: int) -> int:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
         if g != n:
             return g
     raise RangeError(f"pollard rho exhausted its parameter sweep on {n}")
@@ -245,16 +273,25 @@ def factorize(n: int) -> Factorization:
     if n < 1:
         raise DomainError(f"factorize requires n >= 1, got {n}")
     value = n
-    acc: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
-        if p * p > n:
-            break
-        while n % p == 0:
-            acc[p] = acc.get(p, 0) + 1
+    entries: list[tuple[int, int]] = []
+    for p, pp in _TRIAL_PAIRS:
+        if pp > n:
+            # n has no prime factor below p, so n > 1 is prime: no test needed.
+            if n > 1:
+                entries.append((n, 1))
+            return Factorization(tuple(entries), value)
+        if n % p == 0:
             n //= p
-    if n > 1:
-        _factor_into(n, acc)
-    return Factorization(tuple(sorted(acc.items())), value)
+            a = 1
+            while n % p == 0:
+                n //= p
+                a += 1
+            entries.append((p, a))
+    # Every prime Pollard-Brent finds is above the trial primes.
+    acc: dict[int, int] = {}
+    _factor_into(n, acc)
+    entries += sorted(acc.items())
+    return Factorization(tuple(entries), value)
 
 
 def coprime_product(fm: Factorization, fn: Factorization) -> Factorization:
@@ -297,13 +334,20 @@ def _require_enumerable(subject, count: int, kind: str) -> None:
         raise RangeError(f"{subject} has {count} {kind}, above the cap {MAX_DIVISORS}")
 
 
-def divisors(f: Factorization) -> list[int]:
-    """All divisors, ascending.  Refuses lists longer than MAX_DIVISORS."""
+def unordered_divisors(f: Factorization) -> list[int]:
+    """All divisors in product order, 1 first.  Refuses lists longer than
+    MAX_DIVISORS."""
     _require_enumerable(f.value, divisor_count(f.exponents), "divisors")
     out = [1]
     for p, a in f.entries:
         powers = [p**k for k in range(a + 1)]
         out = [d * q for d in out for q in powers]
+    return out
+
+
+def divisors(f: Factorization) -> list[int]:
+    """All divisors, ascending.  Refuses lists longer than MAX_DIVISORS."""
+    out = unordered_divisors(f)
     out.sort()
     return out
 

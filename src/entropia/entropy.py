@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 from . import arith
 from .arith import Factorization
@@ -77,12 +78,15 @@ def entropy_Hbar(f: Factorization) -> float:
     """Divisor entropy: log sigma(n) - (1/sigma) * sum_{d|n} d log d.
 
     sigma and the divisor list are exact integers; floats enter only in the
-    log-sum.  Additive over coprime arguments.
+    log-sum.  fsum rounds the exact sum once, so neither the order of the
+    divisors nor the d = 1 term (0.0) changes it.  Additive over coprime
+    arguments.
     """
     if f.value == 1:
         return 0.0
     sigma = arith.divisor_sum(f)
-    acc = math.fsum(d * math.log(d) for d in arith.divisors(f) if d > 1)
+    ds = arith.unordered_divisors(f)
+    acc = math.fsum(map(mul, ds, map(math.log, ds)))
     return math.log(sigma) - acc / sigma
 
 

@@ -108,6 +108,59 @@ def test_psi12_is_composite():
     assert factorize(arith.PSI_12).entries == ((399165290221, 1), (798330580441, 1))
 
 
+def _strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def test_is_prime_matches_the_sieve_past_psi_2():
+    limit = 1_400_000  # above psi_2 = 1373653, where a third base comes in
+    primes = set(arith.primes_up_to(limit))
+    assert [n for n in range(limit + 1) if arith.is_prime(n) != (n in primes)] == []
+
+
+def test_every_tier_bound_is_a_composite_pseudoprime_to_its_bases():
+    # Each psi_k passes the k bases that is_prime uses below it, so no tier
+    # can be raised, and is_prime still calls it composite.
+    bounds = [psi for psi, _ in arith._MR_TIERS]
+    assert bounds[-1] == arith.PSI_12
+    for psi, bases in arith._MR_TIERS:
+        assert all(_strong_probable_prime(psi, a) for a in bases), psi
+        assert not arith.is_prime(psi), psi
+
+
+def test_primality_around_each_tier_bound_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(13)
+    for psi, _ in arith._MR_TIERS:
+        for _ in range(300):
+            n = psi + rng.randrange(-10**5, 10**5) | 1
+            assert arith.is_prime(n) == sympy.isprime(n), n
+
+
+def test_trial_division_proves_every_cofactor_below_10_6(monkeypatch):
+    # Below 9973^2 the loop always stops at some p with p^2 > n, so
+    # Pollard-Brent and its primality test are never reached.  The longest
+    # loops are on primes, so every prime below 10^6 is tried.
+    def refuse(n, acc):
+        raise AssertionError(f"_factor_into({n})")
+
+    monkeypatch.setattr(arith, "_factor_into", refuse)
+    values = [*range(1, 10**5), *arith.primes_up_to(10**6), *range(10**6 - 10**4, 10**6)]
+    for n in values:
+        f = factorize(n)
+        assert math.prod(p**a for p, a in f.entries) == n
+
+
 def test_strong_lucas_rejects_lucas_pseudoprimes_only():
     # The strong Lucas pseudoprimes below 2 * 10^4 (OEIS A217255) pass it;
     # every other odd composite there fails it and every prime passes.

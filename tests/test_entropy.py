@@ -112,6 +112,32 @@ def test_hbar_goldens():
     )
 
 
+def _hbar_sorted_oracle(f):
+    """entropy_Hbar as it was: fsum over the ascending divisors d > 1."""
+    if f.value == 1:
+        return 0.0
+    sigma = arith.divisor_sum(f)
+    acc = math.fsum(d * math.log(d) for d in arith.divisors(f) if d > 1)
+    return math.log(sigma) - acc / sigma
+
+
+def test_hbar_equals_the_sorted_divisor_sum_bit_for_bit():
+    rng = random.Random(9)
+    values = [*range(1, 3001), *(rng.randint(2, 10**12) for _ in range(500))]
+    values += [963761198400, 2**39, 3**25]  # 6720 divisors; long prime powers
+    for n in values:
+        f = factorize(n)
+        assert entropy_Hbar(f).hex() == _hbar_sorted_oracle(f).hex(), n
+
+
+def test_unordered_divisors_are_the_divisors():
+    for n in (1, 2, 12, 360, 2**10 * 3**3 * 7):
+        f = factorize(n)
+        ds = arith.unordered_divisors(f)
+        assert ds[0] == 1
+        assert sorted(ds) == arith.divisors(f)
+
+
 @given(st.integers(min_value=2, max_value=2000))
 def test_hbar_matches_bruteforce(n):
     assert entropy_Hbar(factorize(n)) == pytest.approx(brute_hbar(n), abs=1e-10)

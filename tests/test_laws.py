@@ -145,6 +145,44 @@ def test_family_exponents_ge3_has_counterexamples():
         check_family_exponents_ge3(2**3 * 3**3, 5**4 * 7**4)
 
 
+def _exponents_ge3_oracle(m, n):
+    """check_family_exponents_ge3 as it was when _gap_direct factored m, n, mn."""
+    rep = _gap_direct_oracle(m, n)
+    if rep.relation is not Relation.GREATER:
+        raise VerificationError(f"expected GREATER for exponents>=3 family, got {rep}")
+    return rep
+
+
+def _outcome(check, m, n):
+    try:
+        return check(m, n), None
+    except VerificationError as exc:
+        return None, str(exc)
+
+
+def test_family_exponents_ge3_matches_the_factor_mn_route():
+    # The pairs random_exponents_ge3_family draws at seeds 0 and 3.
+    primes = arith.primes_up_to(60)
+    for seed in (0, 3):
+        rng = random.Random(seed)
+        for _ in range(10**3):
+            ps = rng.sample(primes, rng.randint(2, 4))
+            split = rng.randint(1, len(ps) - 1)
+            m = math.prod(p ** rng.randint(3, 6) for p in ps[:split])
+            n = math.prod(p ** rng.randint(3, 6) for p in ps[split:])
+            got, got_err = _outcome(check_family_exponents_ge3, m, n)
+            want, want_err = _outcome(_exponents_ge3_oracle, m, n)
+            assert got_err == want_err
+            if want is not None:
+                _same_report(got, want)
+
+
+def test_family_exponents_ge3_factors_each_value_once(monkeypatch):
+    factored = _count_calls(monkeypatch, arith, "factorize")
+    check_family_exponents_ge3(8, 625)
+    assert factored == [(8,), (625,)]
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="claimed inequality is false for larger exponent sums; "
@@ -425,6 +463,20 @@ def test_ideal_edivisors_reports_a_dropped_vector(monkeypatch):
 def test_sweep_splitting_small():
     summary = laws.sweep_splitting(10**3)
     assert summary.ok
+
+
+def test_splitting_reports_a_pattern_of_the_wrong_degree(monkeypatch):
+    split = numfield._split_quadratic
+    monkeypatch.setattr(
+        numfield, "_split_quadratic", lambda d, p: ((1, 1),) if p == 7 else split(d, p)
+    )
+    summary = laws.sweep_splitting(20)
+    assert summary.checked == len(laws.FIELD_MATRIX) * 8  # 8 primes <= 20
+    quads = [f for f in laws.FIELD_MATRIX if isinstance(f, numfield.Quadratic)]
+    assert summary.violation_count == len(quads)
+    assert summary.violations == [
+        f"quad:{f.d}, p=7: sum e_i f_i = 1 != degree 2" for f in quads
+    ]
 
 
 def test_random_suites_clean():
