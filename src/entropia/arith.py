@@ -413,14 +413,12 @@ def exponential_divisors(f: Factorization) -> list[Factorization]:
     choices, count = _exponent_choices(f.value, f.exponents)
     if count == 1:  # squarefree: n is its only e-divisor
         return [f]
-    entries = [[(p, b) for b in bs] for (p, _), bs in zip(f.entries, choices)]
-    powers = [[p**b for b in bs] for (p, _), bs in zip(f.entries, choices)]
-    out = [
-        Factorization._trusted(e, math.prod(q))
-        for e, q in zip(_cartesian(*entries), _cartesian(*powers))
-    ]
-    out.sort(key=lambda g: g.value)
-    return out
+    pairs = [((), 1)]  # (entries, value), extended prime by prime
+    for (p, _), bs in zip(f.entries, choices):
+        steps = [(((p, b),), p**b) for b in bs]
+        pairs = [(e + step, v * q) for e, v in pairs for step, q in steps]
+    pairs.sort(key=_second)  # the values are distinct
+    return [Factorization._trusted(e, v) for e, v in pairs]
 
 
 @dataclass(frozen=True)

@@ -614,17 +614,36 @@ FIELD_MATRIX: tuple[numfield.FieldSpec, ...] = tuple(
 )
 
 
+def _galois_faults(sp: numfield.SplittingPattern, degree: int) -> tuple[str, ...]:
+    """What a Galois field's pattern breaks: uniform (e, f), e f g = degree
+    and H(p O_K) = log g to EQUAL_TOL.  Depends on the pattern alone."""
+    es = set(sp.ramification_indices)
+    fs = set(sp.residue_degrees)
+    if len(es) != 1 or len(fs) != 1:
+        return ("non-uniform Galois pattern",)
+    faults = []
+    if es.pop() * fs.pop() * sp.g != degree:
+        faults.append("efg != degree")
+    if abs(numfield.ideal_entropy(sp) - math.log(sp.g)) > EQUAL_TOL:
+        faults.append("H != log g")
+    return tuple(faults)
+
+
 def sweep_splitting(max_p: int, fields=FIELD_MATRIX) -> CheckSummary:
     """Structural splitting invariants over all primes <= max_p.
 
     For every field: sum e_i f_i = degree.  For Galois fields additionally
     uniform (e, f) with e f g = degree and H(p O_K) = log g to 1e-12.
+    Every (field, p) is split, but the Galois checks run once per distinct
+    pattern of a field, and each p with that pattern records their faults.
     """
     _require_bound("splitting", max_p)
     summary = CheckSummary("splitting", 0)
     primes = arith.primes_up_to(max_p)
     for fld in fields:
         label = numfield.field_label(fld)
+        galois = numfield.is_galois(fld)
+        faults_of: dict[tuple[tuple[int, int], ...], tuple[str, ...]] = {}
         for p in primes:
             summary.checked += 1
             try:  # SplittingPattern refuses sum e_i f_i != degree
@@ -632,27 +651,19 @@ def sweep_splitting(max_p: int, fields=FIELD_MATRIX) -> CheckSummary:
             except DomainError as exc:
                 summary.record(f"{label}, p={p}: {exc}")
                 continue
-            if numfield.is_galois(fld):
-                es = set(sp.ramification_indices)
-                fs = set(sp.residue_degrees)
-                if len(es) != 1 or len(fs) != 1:
-                    summary.record(f"{label}, p={p}: non-uniform Galois pattern")
-                    continue
-                e, f = es.pop(), fs.pop()
-                if e * f * sp.g != fld.degree:
-                    summary.record(f"{label}, p={p}: efg != degree")
-                if abs(numfield.ideal_entropy(sp) - math.log(sp.g)) > EQUAL_TOL:
-                    summary.record(f"{label}, p={p}: H != log g")
+            if galois:
+                faults = faults_of.get(sp.factors)
+                if faults is None:
+                    faults = faults_of[sp.factors] = _galois_faults(sp, fld.degree)
+                for fault in faults:
+                    summary.record(f"{label}, p={p}: {fault}")
     return summary
 
 
 def generated_ideal_patterns(max_p: int = 200) -> list[numfield.SplittingPattern]:
     """All patterns from the field matrix over primes <= max_p."""
-    out = []
-    for fld in FIELD_MATRIX:
-        for p in arith.primes_up_to(max_p):
-            out.append(numfield.split_prime(fld, p))
-    return out
+    primes = arith.primes_up_to(max_p)
+    return [numfield.split_prime(fld, p) for fld in FIELD_MATRIX for p in primes]
 
 
 def sweep_ideal_edivisor_counts(max_p: int = 200) -> CheckSummary:

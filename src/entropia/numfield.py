@@ -5,9 +5,12 @@ Supported families and their splitting rules:
 * Quadratic(d), d squarefree: Kronecker/Legendre symbol of the discriminant.
 * CyclotomicPrime(l), l an odd prime: residue degree = multiplicative order
   of p mod l; p = l is totally ramified.
-* PureCubic(m), m cubefree with m^2 not 1 mod 9 (so Z[m^(1/3)] is the full
-  ring of integers): Dedekind's criterion on x^3 - m over F_p, resolved by
-  the cubic-residue character of m.
+* PureCubic(m), m cubefree with m^2 not 1 mod 9: Dedekind's criterion on
+  x^3 - m over F_p, resolved by the cubic-residue character of m.  For
+  m = a b^2 (a, b squarefree and coprime) Z[m^(1/3)] has index b in the
+  ring of integers, so it is the full ring only when m is squarefree; the
+  criterion still holds at every p not dividing b, and every p | b is
+  totally ramified, which the rule returns.
 
 A SplittingPattern is just the multiset of (ramification index, residue
 degree) pairs; prime ideals are represented by position only.  Its tau,
@@ -17,6 +20,7 @@ tau_e and e-divisors are arith's, taken on the ramification indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import arith
 from .entropy import entropy_of_exponents
@@ -57,7 +61,12 @@ class CyclotomicPrime:
 
 @dataclass(frozen=True)
 class PureCubic:
-    """Q(m^(1/3)) for cubefree m >= 2 with m^2 != 1 mod 9 (monogenic case)."""
+    """Q(m^(1/3)) for cubefree m >= 2 with m^2 != 1 mod 9.
+
+    Z[m^(1/3)] is the ring of integers only for squarefree m; for
+    m = a b^2 its index is b, and the primes dividing b, where Dedekind's
+    criterion does not apply, are totally ramified.
+    """
 
     m: int
 
@@ -112,6 +121,27 @@ def is_galois(field: FieldSpec) -> bool:
     return isinstance(field, (Quadratic, CyclotomicPrime))
 
 
+@lru_cache(maxsize=1 << 10)
+def _canonical_factors(
+    factors: tuple[tuple[int, int], ...], degree: int | None
+) -> tuple[tuple[int, int], ...]:
+    """Validated factors, descending; sum e_i f_i = degree unless degree is None.
+
+    Cached: a field has only a few patterns over all its primes.  A refused
+    pattern raises on every call, since lru_cache stores no exception.
+    """
+    if not factors:
+        raise DomainError("a splitting pattern needs at least one factor")
+    for e, f in factors:
+        if e < 1 or f < 1:
+            raise DomainError(f"(e, f) = ({e}, {f}) must both be >= 1")
+    if degree is not None:
+        total = sum(e * f for e, f in factors)
+        if total != degree:
+            raise DomainError(f"sum e_i f_i = {total} != degree {degree}")
+    return tuple(sorted(factors, reverse=True))
+
+
 @dataclass(frozen=True)
 class SplittingPattern:
     """The multiset {(e_i, f_i)} of p O_K, descending by (e, f).
@@ -126,20 +156,12 @@ class SplittingPattern:
     field: FieldSpec | None = None
 
     def __post_init__(self) -> None:
-        if not self.factors:
-            raise DomainError("a splitting pattern needs at least one factor")
-        for e, f in self.factors:
-            if e < 1 or f < 1:
-                raise DomainError(f"(e, f) = ({e}, {f}) must both be >= 1")
-        canon = tuple(sorted(self.factors, reverse=True))
-        if canon != self.factors:
-            object.__setattr__(self, "factors", canon)
-        if self.field is not None:
-            total = sum(e * f for e, f in self.factors)
-            if total != self.field.degree:
-                raise DomainError(
-                    f"sum e_i f_i = {total} != degree {self.field.degree}"
-                )
+        degree = None if self.field is None else self.field.degree
+        try:
+            canon = _canonical_factors(self.factors, degree)
+        except TypeError:  # unhashable, such as a list: look up its tuples
+            canon = _canonical_factors(tuple(map(tuple, self.factors)), degree)
+        object.__setattr__(self, "factors", canon)
 
     @property
     def g(self) -> int:

@@ -479,6 +479,50 @@ def test_splitting_reports_a_pattern_of_the_wrong_degree(monkeypatch):
     ]
 
 
+def _splitting_per_prime(max_p):
+    """sweep_splitting as it ran before its per-pattern verdicts: every
+    check at every (field, p)."""
+    summary = laws.CheckSummary("splitting", 0)
+    for fld in laws.FIELD_MATRIX:
+        label = numfield.field_label(fld)
+        for p in arith.primes_up_to(max_p):
+            summary.checked += 1
+            try:
+                sp = numfield.split_prime(fld, p)
+            except DomainError as exc:
+                summary.record(f"{label}, p={p}: {exc}")
+                continue
+            if numfield.is_galois(fld):
+                es = set(sp.ramification_indices)
+                fs = set(sp.residue_degrees)
+                if len(es) != 1 or len(fs) != 1:
+                    summary.record(f"{label}, p={p}: non-uniform Galois pattern")
+                    continue
+                e, f = es.pop(), fs.pop()
+                if e * f * sp.g != fld.degree:
+                    summary.record(f"{label}, p={p}: efg != degree")
+                if abs(numfield.ideal_entropy(sp) - math.log(sp.g)) > laws.EQUAL_TOL:
+                    summary.record(f"{label}, p={p}: H != log g")
+    return summary
+
+
+def test_splitting_reports_every_prime_of_a_failing_pattern(monkeypatch):
+    split = numfield._split_cyclotomic
+    monkeypatch.setattr(
+        numfield,
+        "_split_cyclotomic",
+        # Degree 4, so the pattern is built, but not uniform.
+        lambda l, p: ((2, 1), (1, 2)) if l == 5 and p != 5 else split(l, p),
+    )
+    summary = laws.sweep_splitting(100)
+    primes = [p for p in arith.primes_up_to(100) if p != 5]
+    assert summary.violation_count == len(primes) == 24
+    assert summary.violations == [
+        f"cyclo:5, p={p}: non-uniform Galois pattern" for p in primes[:20]
+    ]
+    assert summary == _splitting_per_prime(100)
+
+
 def test_random_suites_clean():
     assert laws.random_eq_identity(count=2000, bound=10**5, seed=0).ok
     assert laws.random_hbar_additivity(count=2000, seed=0).ok

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from entropia import arith, numfield
+from entropia import arith, laws, numfield
 from entropia.errors import DomainError
 from entropia.numfield import (
     CyclotomicPrime,
@@ -60,6 +60,50 @@ def test_pattern_canonical_order_and_validation():
         SplittingPattern(((0, 1),))
     with pytest.raises(DomainError):
         SplittingPattern(((1, 1),), p=5, field=Quadratic(-1))  # sum ef != 2
+
+
+def test_refused_pattern_raises_on_every_construction():
+    for _ in range(2):
+        with pytest.raises(DomainError, match=r"^\(e, f\) = \(0, 1\) must both be >= 1$"):
+            SplittingPattern(((2, 1), (0, 1)))
+        with pytest.raises(DomainError, match=r"^sum e_i f_i = 1 != degree 2$"):
+            SplittingPattern(((1, 1),), p=7, field=Quadratic(-1))
+        with pytest.raises(DomainError, match="at least one factor"):
+            SplittingPattern(())
+
+
+def test_cached_pattern_is_still_descending():
+    numfield._canonical_factors.cache_clear()
+    for hits in (0, 1):
+        assert SplittingPattern(((1, 2), (2, 1), (1, 1))).factors == ((2, 1), (1, 2), (1, 1))
+        assert numfield._canonical_factors.cache_info().hits == hits
+
+
+@pytest.mark.parametrize("quadratic_first", [True, False])
+def test_pattern_validation_depends_on_the_degree(quadratic_first):
+    numfield._canonical_factors.cache_clear()
+    split = ((1, 1), (1, 1))
+
+    def quadratic():
+        assert SplittingPattern(split, p=5, field=Quadratic(-1)).factors == split
+
+    def cubic():
+        with pytest.raises(DomainError, match=r"^sum e_i f_i = 2 != degree 3$"):
+            SplittingPattern(split, p=5, field=PureCubic(2))
+
+    steps = [quadratic, cubic] if quadratic_first else [cubic, quadratic]
+    for step in steps + steps:
+        step()
+
+
+def test_pattern_accepts_lists():
+    for _ in range(2):
+        sp = SplittingPattern([[1, 1], [1, 2]], p=29, field=PureCubic(2))
+        assert sp.factors == ((1, 2), (1, 1))
+        assert SplittingPattern([(1, 2)]).factors == ((1, 2),)
+        assert SplittingPattern(([1, 1], [2, 1])).factors == ((2, 1), (1, 1))
+        with pytest.raises(DomainError, match="at least one factor"):
+            SplittingPattern([])
 
 
 def test_split_goldens():
@@ -127,6 +171,27 @@ def test_splitting_invariants_over_matrix():
                 assert len(es) == 1 and len(fs) == 1
                 assert es.pop() * fs.pop() * sp.g == field.degree
                 assert ideal_entropy(sp) == pytest.approx(math.log(sp.g), abs=1e-12)
+
+
+def test_splitting_matches_sympy_prime_decomposition():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.numberfields.basis import round_two
+    from sympy.polys.numberfields.primes import prime_decomp
+
+    x = sympy.Symbol("x")
+    # Non-squarefree cubics, where Z[m^(1/3)] is not the ring of integers.
+    fields = list(laws.FIELD_MATRIX) + [PureCubic(m) for m in (4, 9, 12, 18, 20)]
+    for field in fields:
+        if isinstance(field, Quadratic):
+            poly = x**2 - field.d
+        elif isinstance(field, CyclotomicPrime):
+            poly = sympy.cyclotomic_poly(field.l, x)
+        else:
+            poly = x**3 - field.m
+        zk, dk = round_two(sympy.Poly(poly, x))  # the maximal order, once per field
+        for p in arith.primes_up_to(59):
+            want = sorted(((P.e, P.f) for P in prime_decomp(p, ZK=zk, dK=dk)), reverse=True)
+            assert split_prime(field, p).factors == tuple(want), (field, p)
 
 
 # --- ideal functionals ------------------------------------------------------
