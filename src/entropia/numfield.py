@@ -20,7 +20,6 @@ tau_e and e-divisors are arith's, taken on the ramification indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import arith
 from .entropy import entropy_of_exponents
@@ -121,27 +120,6 @@ def is_galois(field: FieldSpec) -> bool:
     return isinstance(field, (Quadratic, CyclotomicPrime))
 
 
-@lru_cache(maxsize=1 << 10)
-def _canonical_factors(
-    factors: tuple[tuple[int, int], ...], degree: int | None
-) -> tuple[tuple[int, int], ...]:
-    """Validated factors, descending; sum e_i f_i = degree unless degree is None.
-
-    Cached: a field has only a few patterns over all its primes.  A refused
-    pattern raises on every call, since lru_cache stores no exception.
-    """
-    if not factors:
-        raise DomainError("a splitting pattern needs at least one factor")
-    for e, f in factors:
-        if e < 1 or f < 1:
-            raise DomainError(f"(e, f) = ({e}, {f}) must both be >= 1")
-    if degree is not None:
-        total = sum(e * f for e, f in factors)
-        if total != degree:
-            raise DomainError(f"sum e_i f_i = {total} != degree {degree}")
-    return tuple(sorted(factors, reverse=True))
-
-
 @dataclass(frozen=True)
 class SplittingPattern:
     """The multiset {(e_i, f_i)} of p O_K, descending by (e, f).
@@ -156,12 +134,20 @@ class SplittingPattern:
     field: FieldSpec | None = None
 
     def __post_init__(self) -> None:
-        degree = None if self.field is None else self.field.degree
-        try:
-            canon = _canonical_factors(self.factors, degree)
-        except TypeError:  # unhashable, such as a list: look up its tuples
-            canon = _canonical_factors(tuple(map(tuple, self.factors)), degree)
-        object.__setattr__(self, "factors", canon)
+        if not self.factors:
+            raise DomainError("a splitting pattern needs at least one factor")
+        for e, f in self.factors:
+            if e < 1 or f < 1:
+                raise DomainError(f"(e, f) = ({e}, {f}) must both be >= 1")
+        canon = tuple(sorted(self.factors, reverse=True))
+        if canon != self.factors:
+            object.__setattr__(self, "factors", canon)
+        if self.field is not None:
+            total = sum(e * f for e, f in self.factors)
+            if total != self.field.degree:
+                raise DomainError(
+                    f"sum e_i f_i = {total} != degree {self.field.degree}"
+                )
 
     @property
     def g(self) -> int:

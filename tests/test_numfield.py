@@ -62,50 +62,6 @@ def test_pattern_canonical_order_and_validation():
         SplittingPattern(((1, 1),), p=5, field=Quadratic(-1))  # sum ef != 2
 
 
-def test_refused_pattern_raises_on_every_construction():
-    for _ in range(2):
-        with pytest.raises(DomainError, match=r"^\(e, f\) = \(0, 1\) must both be >= 1$"):
-            SplittingPattern(((2, 1), (0, 1)))
-        with pytest.raises(DomainError, match=r"^sum e_i f_i = 1 != degree 2$"):
-            SplittingPattern(((1, 1),), p=7, field=Quadratic(-1))
-        with pytest.raises(DomainError, match="at least one factor"):
-            SplittingPattern(())
-
-
-def test_cached_pattern_is_still_descending():
-    numfield._canonical_factors.cache_clear()
-    for hits in (0, 1):
-        assert SplittingPattern(((1, 2), (2, 1), (1, 1))).factors == ((2, 1), (1, 2), (1, 1))
-        assert numfield._canonical_factors.cache_info().hits == hits
-
-
-@pytest.mark.parametrize("quadratic_first", [True, False])
-def test_pattern_validation_depends_on_the_degree(quadratic_first):
-    numfield._canonical_factors.cache_clear()
-    split = ((1, 1), (1, 1))
-
-    def quadratic():
-        assert SplittingPattern(split, p=5, field=Quadratic(-1)).factors == split
-
-    def cubic():
-        with pytest.raises(DomainError, match=r"^sum e_i f_i = 2 != degree 3$"):
-            SplittingPattern(split, p=5, field=PureCubic(2))
-
-    steps = [quadratic, cubic] if quadratic_first else [cubic, quadratic]
-    for step in steps + steps:
-        step()
-
-
-def test_pattern_accepts_lists():
-    for _ in range(2):
-        sp = SplittingPattern([[1, 1], [1, 2]], p=29, field=PureCubic(2))
-        assert sp.factors == ((1, 2), (1, 1))
-        assert SplittingPattern([(1, 2)]).factors == ((1, 2),)
-        assert SplittingPattern(([1, 1], [2, 1])).factors == ((2, 1), (1, 1))
-        with pytest.raises(DomainError, match="at least one factor"):
-            SplittingPattern([])
-
-
 def test_split_goldens():
     assert split_prime(CyclotomicPrime(5), 5).factors == ((4, 1),)
     sp = split_prime(PureCubic(2), 29)
