@@ -210,7 +210,7 @@ def _pollard_brent(n: int) -> int:
     raise RangeError(f"pollard rho exhausted its parameter sweep on {n}")
 
 
-# Factorization.exponents is read on every divisors and e-divisor call and
+# Factorization.exponents is read on every divisor and e-divisor call and
 # twice per gap_formula call, and big_omega on every entropy_H call; mapping
 # itemgetter is the cheapest way to read the exponents for both.
 _second = itemgetter(1)
@@ -239,14 +239,6 @@ class Factorization:
             raise DomainError(
                 f"entries multiply to {prod}, not the stated value {self.value}"
             )
-
-    @classmethod
-    def _trusted(cls, entries: tuple[tuple[int, int], ...], value: int) -> Factorization:
-        """Build without __post_init__, for entries correct by construction
-        from an already validated factorization."""
-        f = object.__new__(cls)
-        f.__dict__.update(entries=entries, value=value)
-        return f
 
     @property
     def primes(self) -> tuple[int, ...]:
@@ -345,13 +337,6 @@ def unordered_divisors(f: Factorization) -> list[int]:
     return out
 
 
-def divisors(f: Factorization) -> list[int]:
-    """All divisors, ascending.  Refuses lists longer than MAX_DIVISORS."""
-    out = unordered_divisors(f)
-    out.sort()
-    return out
-
-
 @lru_cache(maxsize=1 << 10)
 def _exponent_divisors(k: int) -> tuple[int, ...]:
     if k < 1:
@@ -378,17 +363,11 @@ def tau_e(exponents: Sequence[int]) -> int:
     return out
 
 
-def _exponent_choices(
-    subject, exponents: Sequence[int]
-) -> tuple[list[tuple[int, ...]], int]:
-    """The divisors of each exponent, and the number of e-divisors they make.
-
-    Refuses more than MAX_DIVISORS e-divisors.
-    """
+def _exponent_choices(subject, exponents: Sequence[int]) -> list[tuple[int, ...]]:
+    """The divisors of each exponent.  Refuses more than MAX_DIVISORS e-divisors."""
     choices = [_exponent_divisors(a) for a in exponents]
-    count = math.prod(map(len, choices))
-    _require_enumerable(subject, count, "e-divisors")
-    return choices, count
+    _require_enumerable(subject, math.prod(map(len, choices)), "e-divisors")
+    return choices
 
 
 def exponential_divisor_vectors(exponents: Sequence[int]) -> list[tuple[int, ...]]:
@@ -397,28 +376,21 @@ def exponential_divisor_vectors(exponents: Sequence[int]) -> list[tuple[int, ...
     The exponents are those of an integer or the ramification indices of an
     ideal pO_K alike; there are always tau_e(exponents) vectors.
     """
-    choices, _ = _exponent_choices(f"exponents {tuple(exponents)}", exponents)
-    return list(_cartesian(*choices))
+    return list(_cartesian(*_exponent_choices(f"exponents {tuple(exponents)}", exponents)))
 
 
-def exponential_divisors(f: Factorization) -> list[Factorization]:
+def exponential_divisors(f: Factorization) -> list[int]:
     """All e-divisors of n > 1 (same prime support, each beta_i | alpha_i).
 
-    Ascending by value; the count always equals tau_e(f.exponents).  Each
-    e-divisor inherits its primes from f, so it is built without
-    re-validation.
+    Ascending; the count always equals tau_e(f.exponents).
     """
     if f.value == 1:
         raise DomainError("exponential divisors are defined only for n > 1")
-    choices, count = _exponent_choices(f.value, f.exponents)
-    if count == 1:  # squarefree: n is its only e-divisor
-        return [f]
-    pairs = [((), 1)]  # (entries, value), extended prime by prime
-    for (p, _), bs in zip(f.entries, choices):
-        steps = [(((p, b),), p**b) for b in bs]
-        pairs = [(e + step, v * q) for e, v in pairs for step, q in steps]
-    pairs.sort(key=_second)  # the values are distinct
-    return [Factorization._trusted(e, v) for e, v in pairs]
+    values = [1]
+    for p, bs in zip(f.primes, _exponent_choices(f.value, f.exponents)):
+        values = [v * p**b for v in values for b in bs]
+    values.sort()
+    return values
 
 
 @dataclass(frozen=True)

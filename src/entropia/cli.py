@@ -107,7 +107,7 @@ def _cmd_entropy(args) -> int:
 
 def _cmd_edivisors(args) -> int:
     f = arith.factorize(args.n)
-    values = [d.value for d in arith.exponential_divisors(f)]
+    values = arith.exponential_divisors(f)
     _emit(args, {"n": args.n, "count": len(values), "edivisors": values}, "ok")
     return EXIT_OK
 

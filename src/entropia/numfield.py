@@ -124,9 +124,9 @@ def is_galois(field: FieldSpec) -> bool:
 class SplittingPattern:
     """The multiset {(e_i, f_i)} of p O_K, descending by (e, f).
 
-    field/p may be None for synthetic patterns built directly by a caller
-    (the checkers for ideal e-divisors use these); the degree constraint
-    sum e_i f_i = [K:Q] is enforced only when a field is attached.
+    field and p are None for a pattern given by hand, such as one passed to
+    check_corollary_ideal; the degree constraint sum e_i f_i = [K:Q] is
+    enforced only when a field is attached.
     """
 
     factors: tuple[tuple[int, int], ...]
@@ -237,10 +237,3 @@ def ideal_entropy(sp: SplittingPattern) -> float:
     """
     return entropy_of_exponents(sp.ramification_indices)
 
-
-def pattern_for_vector(sp: SplittingPattern, betas: tuple[int, ...]) -> SplittingPattern:
-    """Derived pattern with the same residue degrees and exponents betas."""
-    if len(betas) != sp.g:
-        raise DomainError(f"expected {sp.g} exponents, got {len(betas)}")
-    factors = tuple((b, f) for b, (_, f) in zip(betas, sp.factors))
-    return SplittingPattern(factors)

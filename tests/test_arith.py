@@ -218,7 +218,7 @@ def test_divisor_sum(n, expected):
 def test_divisor_functions_match_bruteforce(n):
     f = factorize(n)
     ds = naive_divisors(n)
-    assert arith.divisors(f) == ds
+    assert sorted(arith.unordered_divisors(f)) == ds
     assert arith.divisor_count(f.exponents) == len(ds)
     assert arith.divisor_sum(f) == sum(ds)
 
@@ -226,8 +226,8 @@ def test_divisor_functions_match_bruteforce(n):
 def test_divisors_cap(monkeypatch):
     monkeypatch.setattr(arith, "MAX_DIVISORS", 5)
     with pytest.raises(RangeError):
-        arith.divisors(factorize(24))  # 8 divisors
-    assert arith.divisors(factorize(8)) == [1, 2, 4, 8]
+        arith.unordered_divisors(factorize(24))  # 8 divisors
+    assert sorted(arith.unordered_divisors(factorize(8))) == [1, 2, 4, 8]
 
 
 # --- exponential divisors ---------------------------------------------------
@@ -242,9 +242,9 @@ def test_tau_e_goldens():
 
 
 def test_exponential_divisors_goldens():
-    assert [d.value for d in arith.exponential_divisors(factorize(12))] == [6, 12]
-    assert 60 in [d.value for d in arith.exponential_divisors(factorize(180))]
-    assert [d.value for d in arith.exponential_divisors(factorize(7))] == [7]
+    assert arith.exponential_divisors(factorize(12)) == [6, 12]
+    assert 60 in arith.exponential_divisors(factorize(180))
+    assert arith.exponential_divisors(factorize(7)) == [7]
     with pytest.raises(DomainError):
         arith.exponential_divisors(factorize(1))
 
@@ -252,7 +252,7 @@ def test_exponential_divisors_goldens():
 @given(st.integers(min_value=2, max_value=10**4))
 def test_exponential_divisors_match_bruteforce(n):
     f = factorize(n)
-    got = [d.value for d in arith.exponential_divisors(f)]
+    got = arith.exponential_divisors(f)
     assert got == naive_e_divisors(n)
     assert len(got) == arith.tau_e(f.exponents)
 
@@ -261,8 +261,8 @@ def test_exponential_divisors_match_bruteforce(n):
 def test_e_divisors_divide_and_keep_support(n):
     f = factorize(n)
     for d in arith.exponential_divisors(f):
-        assert n % d.value == 0
-        assert arith.small_omega(d) == arith.small_omega(f)
+        assert n % d == 0
+        assert all(d % p == 0 for p in f.primes)
 
 
 @settings(max_examples=200)

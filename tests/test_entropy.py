@@ -117,7 +117,7 @@ def _hbar_sorted_oracle(f):
     if f.value == 1:
         return 0.0
     sigma = arith.divisor_sum(f)
-    acc = math.fsum(d * math.log(d) for d in arith.divisors(f) if d > 1)
+    acc = math.fsum(d * math.log(d) for d in sorted(arith.unordered_divisors(f)) if d > 1)
     return math.log(sigma) - acc / sigma
 
 
@@ -135,7 +135,7 @@ def test_unordered_divisors_are_the_divisors():
         f = factorize(n)
         ds = arith.unordered_divisors(f)
         assert ds[0] == 1
-        assert sorted(ds) == arith.divisors(f)
+        assert sorted(ds) == [d for d in range(1, n + 1) if n % d == 0]
 
 
 @given(st.integers(min_value=2, max_value=2000))

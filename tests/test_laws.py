@@ -1,5 +1,7 @@
+import ast
 import math
 import random
+import re
 
 import pytest
 
@@ -372,6 +374,67 @@ def test_corollary_ideal_mirrors_integer_case():
         check_corollary_ideal(numfield.SplittingPattern(((1, 1), (1, 1))))
     with pytest.raises(DomainError):
         check_corollary_ideal(numfield.SplittingPattern(((3, 1), (1, 1), (1, 1))))
+
+
+def test_corollary_errors_name_their_subject():
+    with pytest.raises(DomainError, match=r"n=12: 2 exponents"):
+        check_corollary_int(12)
+    with pytest.raises(DomainError, match=r"n=120: an exponent outside"):
+        check_corollary_int(120)
+    with pytest.raises(DomainError, match=r"indices \(1, 1\): 2 exponents"):
+        check_corollary_ideal(numfield.SplittingPattern(((1, 1), (1, 1))))
+
+
+def test_corollary_int_violations_match_the_edivisor_values():
+    # Each violating vector maps to its value; the values stay ascending.
+    for n in range(2, 3001):
+        f = arith.factorize(n)
+        if len(f.entries) < 3 or max(f.exponents) > 2:
+            continue
+        h_n = entropy.entropy_H(f)
+        want = []
+        for d in arith.exponential_divisors(f):
+            h_d = entropy.entropy_H(arith.factorize(d))
+            if h_d > h_n + laws.EQUAL_TOL:
+                want.append((d, h_d))
+        rep = laws._corollary_int_on(f, strict=False)
+        assert rep.violations == tuple(want), n
+        assert rep.checked == arith.tau_e(f.exponents)
+
+
+def test_corollary_kernel_matches_the_class_count():
+    # The class table that sweep_corollary_int multiplies out, against
+    # enumeration, for omega up to 8 (sweeps to 10^5 reach only omega 6).
+    for omega in range(3, 9):
+        for t in range(omega + 1):
+            _, checked, violations = laws._edivisor_bound(
+                "class", (1,) * (omega - t) + (2,) * t
+            )
+            assert checked == 2**t
+            assert len(violations) == laws._corollary_class_violations(omega - t, t)
+
+
+def test_corollary_ideal_witnesses_are_edivisors_of_their_indices():
+    summary = laws.sweep_corollary_ideal()
+    assert (summary.checked, summary.violation_count) == (56, 112)
+    assert len(summary.violations) == laws.MAX_VIOLATIONS_KEPT
+    line = re.compile(r"e=(\(.*?\)): H\((\(.*?\))\) = (\S+) > H\(I\) = (\S+)")
+    for message in summary.violations:
+        es, betas, h_d, h_i = line.fullmatch(message).groups()
+        es, betas = ast.literal_eval(es), ast.literal_eval(betas)
+        assert len(betas) == len(es), message
+        assert all(e % b == 0 for e, b in zip(es, betas)), message
+        assert h_d == format(entropy.entropy_of_exponents(betas), ".12g")
+        assert h_i == format(entropy.entropy_of_exponents(es), ".12g")
+
+
+def test_ideal_sweeps_refuse_vacuous_bounds():
+    with pytest.raises(DomainError, match="bound >= 3"):
+        laws.sweep_corollary_ideal(2)
+    with pytest.raises(DomainError, match="bound >= 2"):
+        laws.sweep_ideal_edivisor_counts(1)
+    assert laws.sweep_corollary_ideal(3).checked == 8
+    assert laws.sweep_ideal_edivisor_counts(2).checked == len(laws.FIELD_MATRIX)
 
 
 # --- scans and sweeps -------------------------------------------------------

@@ -11,7 +11,6 @@ from entropia.numfield import (
     SplittingPattern,
     ideal_entropy,
     parse_field_spec,
-    pattern_for_vector,
     split_prime,
 )
 
@@ -199,8 +198,6 @@ def test_ideal_exponential_divisors():
     sp = SplittingPattern(((2, 1), (2, 1), (1, 1)))
     vectors = arith.exponential_divisor_vectors(sp.ramification_indices)
     assert len(vectors) == 4 == arith.tau_e(sp.ramification_indices)
-    derived = pattern_for_vector(sp, (1, 2, 1))
-    assert derived.factors == ((2, 1), (1, 1), (1, 1))
 
 
 def test_ideal_edivisor_counts_on_generated_patterns():
