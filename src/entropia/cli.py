@@ -14,11 +14,13 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict
+from typing import TYPE_CHECKING
 
-from . import arith, entropy, laws, numfield
+from . import arith, entropy
 from .errors import DomainError, RangeError, UnsupportedCaseError, VerificationError
 
+if TYPE_CHECKING:
+    from . import laws
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
@@ -125,12 +127,14 @@ def _gap_result(rep: laws.GapReport) -> dict:
 
 
 def _cmd_compare(args) -> int:
+    from . import laws
     rep = laws.product_entropy_gap(args.m, args.n)
     _emit(args, _gap_result(rep), "ok")
     return EXIT_OK
 
 
 def _cmd_ideal(args) -> int:
+    from . import numfield
     fld = numfield.parse_field_spec(args.field)
     sp = numfield.split_prime(fld, args.p)
     result = {
@@ -177,6 +181,7 @@ def _scan_result(summary: laws.ScanSummary) -> tuple[dict, int]:
 
 def _run_suite(args, name: str, bound: int | None) -> int:
     """Run one suite at bound (None: its default) and emit its result."""
+    from . import laws
     runner, default = laws.SUITES[name]
     if default is None and bound is not None:
         raise DomainError(f"suite {name!r} takes no bound; drop --max")
@@ -191,6 +196,7 @@ def _run_suite(args, name: str, bound: int | None) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import laws
     if args.suite == "all":
         if args.max is not None:
             raise DomainError("verify all uses each default bound; drop --max")

@@ -614,15 +614,22 @@ FIELD_MATRIX: tuple[numfield.FieldSpec, ...] = tuple(
 )
 
 
-def _galois_faults(sp: numfield.SplittingPattern, degree: int) -> tuple[str, ...]:
-    """What a Galois field's pattern breaks: uniform (e, f), e f g = degree
-    and H(p O_K) = log g to EQUAL_TOL.  Depends on the pattern alone."""
+def _pattern_faults(fld: numfield.FieldSpec, factors: tuple) -> tuple[str, ...]:
+    """What the pattern of factors breaks in fld: sum e_i f_i = degree, and
+    for a Galois field uniform (e, f), e f g = degree and H(p O_K) = log g
+    to EQUAL_TOL.  Depends on the field and the factors alone, not on p."""
+    try:  # SplittingPattern refuses sum e_i f_i != degree
+        sp = numfield.SplittingPattern(factors, field=fld)
+    except DomainError as exc:
+        return (str(exc),)
+    if not numfield.is_galois(fld):
+        return ()
     es = set(sp.ramification_indices)
     fs = set(sp.residue_degrees)
     if len(es) != 1 or len(fs) != 1:
         return ("non-uniform Galois pattern",)
     faults = []
-    if es.pop() * fs.pop() * sp.g != degree:
+    if es.pop() * fs.pop() * sp.g != fld.degree:
         faults.append("efg != degree")
     if abs(numfield.ideal_entropy(sp) - math.log(sp.g)) > EQUAL_TOL:
         faults.append("H != log g")
@@ -634,29 +641,23 @@ def sweep_splitting(max_p: int, fields=FIELD_MATRIX) -> CheckSummary:
 
     For every field: sum e_i f_i = degree.  For Galois fields additionally
     uniform (e, f) with e f g = degree and H(p O_K) = log g to 1e-12.
-    Every (field, p) is split, but the Galois checks run once per distinct
-    pattern of a field, and each p with that pattern records their faults.
+    Every (field, p) is split, but each distinct pattern of a field is
+    built and judged once, and each p with that pattern records its faults.
     """
     _require_bound("splitting", max_p)
     summary = CheckSummary("splitting", 0)
     primes = arith.primes_up_to(max_p)
     for fld in fields:
         label = numfield.field_label(fld)
-        galois = numfield.is_galois(fld)
         faults_of: dict[tuple[tuple[int, int], ...], tuple[str, ...]] = {}
         for p in primes:
-            summary.checked += 1
-            try:  # SplittingPattern refuses sum e_i f_i != degree
-                sp = numfield.split_prime(fld, p)
-            except DomainError as exc:
-                summary.record(f"{label}, p={p}: {exc}")
-                continue
-            if galois:
-                faults = faults_of.get(sp.factors)
-                if faults is None:
-                    faults = faults_of[sp.factors] = _galois_faults(sp, fld.degree)
-                for fault in faults:
-                    summary.record(f"{label}, p={p}: {fault}")
+            factors = numfield.split_factors(fld, p)
+            faults = faults_of.get(factors)
+            if faults is None:
+                faults = faults_of[factors] = _pattern_faults(fld, factors)
+            for fault in faults:
+                summary.record(f"{label}, p={p}: {fault}")
+        summary.checked += len(primes)
     return summary
 
 

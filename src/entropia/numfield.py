@@ -215,19 +215,23 @@ def _split_pure_cubic(m: int, p: int) -> tuple[tuple[int, int], ...]:
     return ((1, 3),)
 
 
+def split_factors(field: FieldSpec, p: int) -> tuple[tuple[int, int], ...]:
+    """The (e, f) pairs of p O_K by the field family's rule, for a p the
+    caller knows is prime; nothing is tested or validated."""
+    if isinstance(field, Quadratic):
+        return _split_quadratic(field.d, p)
+    if isinstance(field, CyclotomicPrime):
+        return _split_cyclotomic(field.l, p)
+    if isinstance(field, PureCubic):
+        return _split_pure_cubic(field.m, p)
+    raise UnsupportedCaseError(f"unknown field spec {field!r}")
+
+
 def split_prime(field: FieldSpec, p: int) -> SplittingPattern:
     """Splitting pattern of p O_K for the given field family."""
     if not arith.is_prime(p):
         raise DomainError(f"{p} is not prime")
-    if isinstance(field, Quadratic):
-        factors = _split_quadratic(field.d, p)
-    elif isinstance(field, CyclotomicPrime):
-        factors = _split_cyclotomic(field.l, p)
-    elif isinstance(field, PureCubic):
-        factors = _split_pure_cubic(field.m, p)
-    else:
-        raise UnsupportedCaseError(f"unknown field spec {field!r}")
-    return SplittingPattern(factors, p=p, field=field)
+    return SplittingPattern(split_factors(field, p), p=p, field=field)
 
 
 def ideal_entropy(sp: SplittingPattern) -> float:

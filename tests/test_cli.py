@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -270,6 +271,32 @@ def test_cached_parser_matches_a_fresh_one(capsys):
     assert json.loads(reused[2][1])["inputs"] == {"n": 360}
 
 
+def _python(*argv):
+    """Run a fresh interpreter on argv with this checkout's entropia."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+# The optional modules each query loads: laws and numfield only on the
+# queries that use them (compare's laws imports numfield).
+QUERY_LOADS = {
+    "import": {"entropia.arith"},
+    "entropy": {"entropia.arith"},
+    "edivisors": {"entropia.arith"},
+    "compare": {"entropia.arith", "entropia.laws", "entropia.numfield"},
+    "ideal": {"entropia.arith", "entropia.numfield"},
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -281,23 +308,43 @@ def test_cached_parser_matches_a_fresh_one(capsys):
     ],
 )
 def test_queries_never_import_numpy(argv):
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", *argv],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
+    proc = _python("-X", "importtime", *argv)
     imported = {
         line.rsplit("|", 1)[1].strip()
         for line in proc.stderr.splitlines()
         if line.startswith("import time:")
     }
-    assert "entropia.laws" in imported
+    query = argv[3] if argv[0] == "-m" else "import"
+    optional = {"entropia.arith", "entropia.laws", "entropia.numfield"}
+    assert imported & optional == QUERY_LOADS[query]
     assert not {name for name in imported if name.split(".")[0] == "numpy"}
+
+
+def test_lazy_names_resolve_after_a_bare_import():
+    _python("-c", textwrap.dedent("""\
+        import sys
+        import entropia
+
+        assert "entropia.laws" not in sys.modules
+        assert "entropia.numfield" not in sys.modules
+        star = {}
+        exec("from entropia import *", star)
+        owner = dict.fromkeys(["Factorization", "factorize"], "arith")
+        owner |= dict.fromkeys(["entropy_H", "entropy_Hbar"], "entropy")
+        owner |= dict.fromkeys(["SplittingPattern", "ideal_entropy", "split_prime"], "numfield")
+        for name in entropia.__all__:
+            if name in owner:
+                want = getattr(sys.modules[f"entropia.{owner[name]}"], name)
+            else:
+                want = sys.modules[f"entropia.{name}"]
+            assert getattr(entropia, name) is want is star[name], name
+        try:
+            entropia.no_such_name
+        except AttributeError:
+            pass
+        else:
+            raise AssertionError("entropia.no_such_name resolved")
+    """))
 
 
 @pytest.mark.parametrize(

@@ -586,6 +586,12 @@ def test_splitting_reports_every_prime_of_a_failing_pattern(monkeypatch):
     assert summary == _splitting_per_prime(100)
 
 
+def test_splitting_sweep_equals_a_check_at_every_prime():
+    summary = laws.sweep_splitting(10**4)
+    assert summary.checked == 20893 and summary.ok
+    assert summary == _splitting_per_prime(10**4)
+
+
 def test_random_suites_clean():
     assert laws.random_eq_identity(count=2000, bound=10**5, seed=0).ok
     assert laws.random_hbar_additivity(count=2000, seed=0).ok
