@@ -53,7 +53,9 @@ def _print_value(value, indent: int = 0) -> None:
                 print(f"{pad}{str(k):<{width}}  {_fmt_scalar(v)}")
     elif isinstance(value, list):
         for v in value:
-            if isinstance(v, (dict, list)):
+            if isinstance(v, list) and not any(isinstance(x, (dict, list)) for x in v):
+                print(f"{pad}- [{', '.join(map(_fmt_scalar, v))}]")
+            elif isinstance(v, (dict, list)):
                 _print_value(v, indent + 2)
             else:
                 print(f"{pad}- {_fmt_scalar(v)}")

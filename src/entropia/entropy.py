@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
+from itertools import starmap
 
 from . import arith
 from .arith import Factorization
@@ -75,43 +75,48 @@ def shannon_entropy(d: Distribution) -> float:
 
 
 def entropy_Hbar(f: Factorization) -> float:
-    """Divisor entropy: log sigma(n) - (1/sigma) * sum_{d|n} d log d.
+    """Divisor entropy: the Shannon entropy of d / sigma(n) over the divisors d.
 
-    sigma and the divisor list are exact integers; floats enter only in the
-    log-sum.  fsum rounds the exact sum once, so neither the order of the
-    divisors nor the d = 1 term (0.0) changes it.  Additive over coprime
-    arguments.
+    The divisor distribution of a coprime product is the product of the
+    factors' distributions, so Hbar is additive: the fsum of one prime-power
+    term per entry of f.  No divisor list is built, and no term subtracts two
+    numbers of size log sigma(n), so the float is right to rounding even when
+    Hbar is tiny (n with a large prime factor).
     """
-    if f.value == 1:
-        return 0.0
-    sigma = arith.divisor_sum(f)
-    ds = arith.unordered_divisors(f)
-    acc = math.fsum(map(mul, ds, map(math.log, ds)))
-    return math.log(sigma) - acc / sigma
+    return math.fsum(starmap(_hbar_term, f.entries))
+
+
+def _hbar_term(p: int, alpha: int) -> float:
+    """Hbar(p^alpha) without cancellation.  With r = 1/p it is
+
+        -log1p(-r) + log1p(-r^(alpha+1))
+        + log p * (r/(1-r) - (alpha+1) r^(alpha+1) / (1 - r^(alpha+1))).
+
+    r^(alpha+1) underflows to 0 for large alpha, which leaves hbar_limit.
+    Unchecked: a Factorization's entries are already validated.
+    """
+    r = 1 / p
+    s = r ** (alpha + 1)
+    return (
+        math.log1p(-s) - math.log1p(-r)
+        + math.log(p) * (r / (1 - r) - (alpha + 1) * s / (1 - s))
+    )
 
 
 def hbar_prime_power(p: int, alpha: int) -> float:
-    """Closed form of entropy_Hbar at p^alpha.
-
-    Evaluated in log space, so large alpha never overflows: the leading
-    term x / (e^x - 1) with x = (alpha+1) log p is flushed to 0 once e^x
-    saturates.
-    """
+    """Closed form of entropy_Hbar at p^alpha; the same float as entropy_Hbar."""
     if not arith.is_prime(p):
         raise DomainError(f"{p} is not prime")
     if alpha < 1:
         raise DomainError(f"alpha must be >= 1, got {alpha}")
-    logp = math.log(p)
-    x = (alpha + 1) * logp
-    lead = x / math.expm1(x) if x < 700.0 else 0.0
-    return -lead + math.log1p(-math.exp(-x)) - math.log(p - 1) + p * logp / (p - 1)
+    return _hbar_term(p, alpha)
 
 
 def hbar_limit(p: int) -> float:
-    """Limit of entropy_Hbar(p^alpha) as alpha grows: p log p/(p-1) - log(p-1)."""
+    """Limit of entropy_Hbar(p^alpha) as alpha grows: -log1p(-1/p) + log p/(p-1)."""
     if not arith.is_prime(p):
         raise DomainError(f"{p} is not prime")
-    return p * math.log(p) / (p - 1) - math.log(p - 1)
+    return math.log(p) / (p - 1) - math.log1p(-1 / p)
 
 
 def entropy_H_appended(f: Factorization, p: int, alpha: int) -> float:
@@ -134,15 +139,12 @@ def entropy_H_appended(f: Factorization, p: int, alpha: int) -> float:
 def appended_closed_form(t: int, h: float, alpha: int) -> float:
     """H(n * p^alpha) from t = Omega(n) >= 1 and h = H(n), p coprime to n.
 
+    (t*h + t*log1p(alpha/t) + alpha*log1p(t/alpha)) / (t + alpha): every
+    term is non-negative, so no digits cancel however large alpha is.
     Unchecked: entropy_H_appended validates its inputs and then calls this,
     so callers that already hold t and h get the same float.
     """
-    total = t + alpha
-    return (
-        t * h / total
-        + math.log(total)
-        - (t * math.log(t) + alpha * math.log(alpha)) / total
-    )
+    return (t * h + t * math.log1p(alpha / t) + alpha * math.log1p(t / alpha)) / (t + alpha)
 
 
 def threshold(f: Factorization) -> float:

@@ -62,6 +62,23 @@ def test_entropy_text_output(capsys):
     assert "0.69314718056" in out  # log 2 at 12 significant digits
 
 
+def test_entropy_of_the_20th_primorial_needs_no_divisor_list(capsys):
+    # 2^20 divisors, above MAX_DIVISORS: Hbar is a sum over the 20 primes.
+    n = math.prod(arith.primes_up_to(71))
+    assert n == 557940830126698960967415390
+    code, doc, _ = run_json(capsys, "entropy", str(n))
+    assert code == 0 and doc["status"] == "ok"
+    assert doc["result"]["tau"] == 1048576
+    assert doc["result"]["Hbar"] == 4.29515095079
+
+
+def test_entropy_hbar_of_a_large_prime_keeps_its_digits(capsys):
+    # Hbar(p) is about log p / p; a divisor-sum difference of size log p reads 0.
+    code, doc, _ = run_json(capsys, "entropy", "1000000000000000003")
+    assert code == 0
+    assert doc["result"]["Hbar"] == 4.24465316739e-17
+
+
 def test_entropy_rejects_small_n(capsys):
     code, out, err = run(capsys, "entropy", "1")
     assert code == 2
@@ -132,6 +149,14 @@ def test_ideal_goldens(capsys):
     assert r["H"] == pytest.approx(math.log(3), abs=1e-9)
     code, doc, _ = run_json(capsys, "ideal", "cyclo:5", "5")
     assert doc["result"]["factors"] == [[4, 1]] and doc["result"]["H"] == 0.0
+
+
+def test_ideal_text_prints_one_line_per_factor(capsys):
+    code, out, _ = run(capsys, "ideal", "cubic:2", "5")
+    assert code == 0
+    assert "factors:\n  - [1, 2]\n  - [1, 1]\ng " in out
+    code, _, text = run_json(capsys, "ideal", "cubic:2", "5")
+    assert '"factors":[[1,2],[1,1]]' in text
 
 
 def test_ideal_bad_field_spec(capsys):

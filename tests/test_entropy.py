@@ -21,11 +21,22 @@ from entropia.entropy import (
 from entropia.errors import DomainError
 
 
-def brute_hbar(n):
-    """Divisor-sum oracle for the divisor entropy, independent of the package."""
-    ds = [d for d in range(1, n + 1) if n % d == 0]
+def divisor_sum_hbar(ds):
+    """-sum w log w over the divisors ds, w = d / sigma, independent of the package.
+
+    No term cancels: log w is log1p(-(sigma - d) / sigma) when w > 1/2.
+    """
     sigma = sum(ds)
-    return math.log(sigma) - math.fsum(d * math.log(d) for d in ds) / sigma
+    return -math.fsum(
+        d / sigma
+        * (math.log1p(-(sigma - d) / sigma) if 2 * d > sigma else math.log(d / sigma))
+        for d in ds
+    )
+
+
+def brute_hbar(n):
+    """Divisor-sum oracle for the divisor entropy, over divisors found by trial."""
+    return divisor_sum_hbar([d for d in range(1, n + 1) if n % d == 0])
 
 
 # --- exponent entropy H -----------------------------------------------------
@@ -112,22 +123,30 @@ def test_hbar_goldens():
     )
 
 
-def _hbar_sorted_oracle(f):
-    """entropy_Hbar as it was: fsum over the ascending divisors d > 1."""
-    if f.value == 1:
-        return 0.0
-    sigma = arith.divisor_sum(f)
-    acc = math.fsum(d * math.log(d) for d in sorted(arith.unordered_divisors(f)) if d > 1)
-    return math.log(sigma) - acc / sigma
+def _mpmath_hbar(f, mpmath):
+    """Hbar to 60 digits from the divisors, expanded from f's entries."""
+    ds = [1]
+    for p, a in f.entries:
+        ds = [d * p**k for d in ds for k in range(a + 1)]
+    # The difference below loses about as many digits as sigma has.
+    with mpmath.workdps(60 + len(str(sum(ds)))):
+        sigma = mpmath.mpf(sum(ds))
+        return mpmath.log(sigma) - mpmath.fsum(d * mpmath.log(d) for d in ds) / sigma
 
 
-def test_hbar_equals_the_sorted_divisor_sum_bit_for_bit():
+def test_hbar_relative_error_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
     rng = random.Random(9)
-    values = [*range(1, 3001), *(rng.randint(2, 10**12) for _ in range(500))]
+    values = [*range(2, 3001), *(rng.randint(2, 10**12) for _ in range(500))]
     values += [963761198400, 2**39, 3**25]  # 6720 divisors; long prime powers
-    for n in values:
-        f = factorize(n)
-        assert entropy_Hbar(f).hex() == _hbar_sorted_oracle(f).hex(), n
+    values += [999999999989, 10**18 + 3, 10**307 + 657]  # primes: Hbar ~ log p / p
+    fs = [factorize(n) for n in values]
+    p, q = 1000000000000037, 3000000000000037  # a 31-digit semiprime
+    fs.append(arith.Factorization(((p, 1), (q, 1)), p * q))
+    assert entropy_Hbar(factorize(1)) == 0.0
+    for f in fs:
+        want = _mpmath_hbar(f, mpmath)
+        assert abs(entropy_Hbar(f) - want) <= 1e-14 * want, f.value
 
 
 def test_unordered_divisors_are_the_divisors():
@@ -140,7 +159,7 @@ def test_unordered_divisors_are_the_divisors():
 
 @given(st.integers(min_value=2, max_value=2000))
 def test_hbar_matches_bruteforce(n):
-    assert entropy_Hbar(factorize(n)) == pytest.approx(brute_hbar(n), abs=1e-10)
+    assert entropy_Hbar(factorize(n)) == pytest.approx(brute_hbar(n), rel=1e-13)
 
 
 @settings(max_examples=300)
@@ -148,17 +167,21 @@ def test_hbar_matches_bruteforce(n):
 def test_hbar_additive_on_coprime(m, n):
     if math.gcd(m, n) != 1:
         return
-    assert entropy_Hbar(factorize(m * n)) == pytest.approx(
-        entropy_Hbar(factorize(m)) + entropy_Hbar(factorize(n)), abs=1e-9
+    dm = [d for d in range(1, m + 1) if m % d == 0]
+    dn = [d for d in range(1, n + 1) if n % d == 0]
+    assert divisor_sum_hbar([a * b for a in dm for b in dn]) == pytest.approx(
+        entropy_Hbar(factorize(m)) + entropy_Hbar(factorize(n)), rel=1e-13
     )
 
 
 def test_hbar_prime_power_closed_form():
     for p in (2, 3, 5, 7, 47):
         for alpha in range(1, 13):
-            assert hbar_prime_power(p, alpha) == pytest.approx(
-                entropy_Hbar(factorize(p**alpha)), abs=1e-9
+            closed = hbar_prime_power(p, alpha)
+            assert closed == pytest.approx(
+                divisor_sum_hbar([p**k for k in range(alpha + 1)]), rel=1e-13
             )
+            assert closed == entropy_Hbar(factorize(p**alpha))
     with pytest.raises(DomainError):
         hbar_prime_power(4, 2)
 
@@ -179,6 +202,14 @@ def test_hbar_limit_goldens():
     assert hbar_limit(999983) < 2e-5
     with pytest.raises(DomainError):
         hbar_limit(9)
+
+
+def test_hbar_limit_relative_error_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    for p in (2, 3, 999983, 999999999989, 10**18 + 3):
+        with mpmath.workdps(60):
+            want = -mpmath.log1p(-mpmath.mpf(1) / p) + mpmath.log(p) / (p - 1)
+        assert abs(hbar_limit(p) - want) <= 1e-14 * want, p
 
 
 # --- appended prime power ---------------------------------------------------
@@ -215,6 +246,21 @@ def test_appended_matches_direct_on_random_triples():
         closed = entropy_H_appended(factorize(n), p, alpha)
         direct = entropy_H(factorize(n * p**alpha))
         assert closed == pytest.approx(direct, rel=1e-12, abs=1e-12)
+
+
+def test_appended_closed_form_relative_error_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    for n in (6, 12, 2310, 2**3 * 3**5 * 7):
+        exps = factorize(n).exponents
+        t, h = sum(exps), entropy_H(factorize(n))
+        for alpha in (1, 7, 10**6, 10**12, 10**15):
+            with mpmath.workdps(60):
+                total = t + alpha
+                want = mpmath.log(total) - (
+                    mpmath.fsum(a * mpmath.log(a) for a in (*exps, alpha)) / total
+                )
+            got = entropy.appended_closed_form(t, h, alpha)
+            assert abs(got - want) <= 1e-14 * want, (n, alpha)
 
 
 def test_appended_tail_decreasing_for_squarefree_base():
